@@ -6,6 +6,12 @@ grows the trial basis, and reads approximate singular values off the
 projected Lyapunov solution. When the retained values stagnate, the target
 rank is raised and the basis is reset to the latest interpolation data, so
 the basis (and the SVD cost) never grows past ``r * i_max`` columns.
+
+Within a stage the basis grows append-only: new directions are
+orthogonalized against it by block classical Gram-Schmidt with
+reorthogonalization, ``A`` is applied to the new columns only, and the
+projected matrix ``V^T A V`` is bordered rather than recomputed, so a sweep
+costs O(n k j) for a k-column basis and j new columns.
 """
 
 from __future__ import annotations
@@ -16,8 +22,9 @@ import numpy as np
 
 from .linalg import (
     as_operator,
+    cgs2,
+    extend_orthonormal,
     ordered_svd,
-    orthonormalize,
     psd_factor,
     solve_lyapunov_dense,
     solve_sylvester_skinny,
@@ -143,20 +150,77 @@ def scaled_truncation(u, s, r_eff):
 
 def lowrank_lyapunov_residual(a, b, factor: LowRankGramian) -> float:
     """Relative spectral-norm Lyapunov residual of a factored approximation,
-    evaluated without forming any n-by-n matrix."""
+    evaluated without forming any n-by-n matrix.
+
+    With ``U1 = A V C`` the residual is ``G H^T`` for ``G = [U1, V, B]`` and
+    ``H = [V, U1, B]``, which share their columns. The orthonormal ``V`` is
+    extended by :func:`cgs2` of ``[U1, B]`` and one thin QR of the
+    remainder, so both ``G`` and ``H`` have exact coefficients ``Rg``, ``Rh``
+    in one small basis and the residual is ``||Rg Rh^T||_2``.
+    """
     op = as_operator(a)
     b = np.atleast_2d(np.asarray(b, dtype=float))
     v = factor.basis
+    k = v.shape[1]
     u1 = op.apply(v @ factor.core)
-    g = np.hstack([u1, v, b])
-    h = np.hstack([v, u1, b])
-    _, rg = np.linalg.qr(g)
-    _, rh = np.linalg.qr(h)
+    c, rem = cgs2(v, np.hstack([u1, b]))
+    r2 = np.linalg.qr(rem, mode="r")
+    cu, cb = c[:, :k], c[:, k:]
+    r2u, r2b = r2[:, :k], r2[:, k:]
+    eye = np.eye(k)
+    zero = np.zeros_like(r2u)
+    rg = np.block([[cu, eye, cb], [r2u, zero, r2b]])
+    rh = np.block([[eye, cu, cb], [zero, r2u, r2b]])
     num = np.linalg.norm(rg @ rh.T, 2)
     den = np.linalg.norm(b, 2) ** 2
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return float(num / den)
+
+
+def _append_columns(buf, k, cols):
+    """Write ``cols`` after the first ``k`` columns of the Fortran-ordered
+    ``buf``, doubling its capacity when full. Unwritten columns of a
+    Fortran-ordered array are never touched, so spare capacity costs address
+    space, not resident memory."""
+    j = cols.shape[1]
+    if k + j > buf.shape[1]:
+        grown = np.empty((buf.shape[0], max(2 * buf.shape[1], k + j)), order="F")
+        grown[:, :k] = buf[:, :k]
+        buf = grown
+    buf[:, k:k + j] = cols
+    return buf
+
+
+class _Basis:
+    """Orthonormal trial basis ``V`` of one stage, grown append-only, with
+    ``A V``, ``V^T A V`` and ``V^T B`` kept in step: adding j columns to a
+    k-column basis costs O(n k j), and A is applied to the new columns only.
+    """
+
+    def __init__(self, n, m):
+        self._v = np.empty((n, 0), order="F")
+        self._av = np.empty((n, 0), order="F")
+        self.k = 0
+        self.ak = np.zeros((0, 0))
+        self.bk = np.zeros((0, m))
+
+    @property
+    def v(self):
+        return self._v[:, :self.k]
+
+    def extend(self, op, b, new):
+        """Absorb the directions of ``new`` not yet in the span of ``V``,
+        bordering ``V^T A V`` with the two off-diagonal blocks and the new
+        diagonal block."""
+        v, av = self.v, self._av[:, :self.k]
+        q = extend_orthonormal(v, new)
+        aq = op.apply(q)
+        self.ak = np.block([[self.ak, v.T @ aq], [q.T @ av, q.T @ aq]])
+        self.bk = np.vstack([self.bk, q.T @ b])
+        self._v = _append_columns(self._v, self.k, q)
+        self._av = _append_columns(self._av, self.k, aq)
+        self.k += q.shape[1]
 
 
 def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
@@ -186,7 +250,7 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
 
     r = cfg.r0
     ar, br = _arbitrary_stable_pair(r, m, cfg.seed)
-    vk = np.zeros((op.n, 0))
+    basis = _Basis(op.n, m)
     s_prev = np.zeros(0)
     history: list[IterationRecord] = []
     k = 1
@@ -195,16 +259,15 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
     vr = None
     while True:
         phat = solve_sylvester_skinny(op, ar, b @ br.T)
-        vk = orthonormalize(np.hstack([vk, phat]))
-        if vk.shape[1] == 0:  # zero right-hand side: nothing to capture
+        basis.extend(op, b, phat)
+        if basis.k == 0:  # zero right-hand side: nothing to capture
             ar = np.zeros((0, 0))
             br = np.zeros((0, m))
             vr = np.zeros((op.n, 0))
             converged = True
             break
-        avk = op.apply(vk)
-        ak = vk.T @ avk
-        bk = vk.T @ b
+        ak = basis.ak
+        bk = basis.bk
         pk = solve_lyapunov_dense(ak, bk @ bk.T)
         zp = psd_factor(pk).z
         u, s_full, _ = ordered_svd(zp.T @ zp)
@@ -212,7 +275,7 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
         s_r = s_full[:r_eff].copy()
         history.append(IterationRecord(k=k, i=i, r=r, values=s_r))
         if on_iteration is not None:
-            on_iteration(history[-1], vk, phat)
+            on_iteration(history[-1], basis.v, phat)
 
         stage_done = (padded_change(s_r, s_prev) <= cfg.effective_stage_tol
                       or i >= cfg.i_max)
@@ -222,16 +285,15 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
             # insignificant values are already included
             r += cfg.dr
         small = zp @ scaled_truncation(u, s_full, min(r, len(s_full)))
-        vr = vk @ small
+        vr = basis.v @ small
         ar = small.T @ ak @ small
         br = small.T @ bk
         if stage_done:
-            vk = orthonormalize(phat)
             s_prev = np.zeros(0)
-            i = 0
+            i = 1
         else:
             s_prev = s_r
-        i += 1
+            i += 1
         k += 1
 
         if s_full[0] <= 0.0:
@@ -244,6 +306,10 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
             break
         if k > cfg.k_max:
             break
+        if stage_done:
+            # the next stage starts from the latest interpolation data alone
+            basis = _Basis(op.n, m)
+            basis.extend(op, b, phat)
 
     pr = solve_lyapunov_dense(ar, br @ br.T) if ar.shape[0] else np.zeros((0, 0))
     factor = LowRankGramian(basis=vr, core=pr)

@@ -92,16 +92,20 @@ def load_config(path) -> dict:
 def build_model(cfg, seed):
     model = dict(cfg["model"])
     kind = model.pop("kind")
-    if kind == "heat_rod":
-        return benchmarks.heat_rod(int(model["n"]))
-    if kind == "random_stable":
-        return benchmarks.random_stable(int(model["n"]), int(model["m"]),
-                                        int(model["p"]),
-                                        int(model.get("seed", seed)))
-    if kind == "illustrative4":
-        return benchmarks.illustrative4()
-    return benchmarks.load_matrix_market(model["a_path"], model["b_path"],
-                                         model["c_path"])
+    # the constructors validate sizes and entries with ValueError
+    try:
+        if kind == "heat_rod":
+            return benchmarks.heat_rod(int(model["n"]))
+        if kind == "random_stable":
+            return benchmarks.random_stable(int(model["n"]), int(model["m"]),
+                                            int(model["p"]),
+                                            int(model.get("seed", seed)))
+        if kind == "illustrative4":
+            return benchmarks.illustrative4()
+        return benchmarks.load_matrix_market(model["a_path"], model["b_path"],
+                                             model["c_path"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model {kind}: {exc}") from exc
 
 
 def _alg_config(cfg, seed, cls, tol=None):
@@ -109,7 +113,21 @@ def _alg_config(cfg, seed, cls, tol=None):
     alg.setdefault("seed", seed)
     if tol is not None:
         alg["tol"] = tol
-    return cls(**alg)
+    # the config class validates its fields with ValueError
+    try:
+        return cls(**alg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"alg: {exc}") from exc
+
+
+def _order(cfg):
+    try:
+        r = int(cfg["r"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'r' must be an integer, got {cfg['r']!r}") from exc
+    if r < 1:
+        raise ConfigError(f"'r' must be >= 1, got {r}")
+    return r
 
 
 def _write_csv(path, header, rows):
@@ -186,9 +204,14 @@ def run_task(cfg, seed, out_dir):
         code = 0 if result.converged else 2
 
     elif task in ("dense-bt", "tcr", "tor"):
-        r = int(cfg["r"])
+        r_req = _order(cfg)
         reducer = {"dense-bt": bt_square_root, "tcr": tcr, "tor": tor}[task]
-        red = reducer(model, r)
+        red = reducer(model, min(r_req, model.n))
+        r = red.rom.n
+        if r != r_req:
+            print(f"warning: {task} produced order {r}, not the requested "
+                  f"r = {r_req} (capped by n = {model.n} and the numerical "
+                  "rank of the Gramians)", file=sys.stderr)
         artifacts["hsv.csv"] = (("index", "value"),
                                 _hsv_rows(red.retained_sv.values))
         err_rows = [("hinf_rel_error",
@@ -207,7 +230,7 @@ def run_task(cfg, seed, out_dir):
         artifacts["errors.csv"] = (("metric", "value", "r"), err_rows)
 
     elif task == "tsia":
-        r = int(cfg["r"])
+        r = _order(cfg)
         init = benchmarks.random_stable(r, model.m, model.p, seed)
         red = tsia(model, init)
         hsv = hankel_singular_values(red.rom) if red.rom.n <= dense_cap else None
@@ -289,6 +312,8 @@ def main(argv=None) -> int:
             "seed": seed,
             "output_dir": out_dir,
             "deterministic": bool(args.deterministic),
+            # False when pinning was asked for but threadpoolctl is missing
+            "threads_pinned": limiter is not None,
             "wall_clock_sec": time.monotonic() - started,
             "exit_code": code,
         }

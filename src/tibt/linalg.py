@@ -31,6 +31,8 @@ __all__ = [
     "solve_lyapunov_dense",
     "solve_sylvester_skinny",
     "orthonormalize",
+    "cgs2",
+    "extend_orthonormal",
     "psd_factor",
     "ordered_svd",
 ]
@@ -400,6 +402,63 @@ def orthonormalize(m):
     if kept == 0:
         raise EmptyInputError("nonzero input reduced to an empty basis")
     return np.ascontiguousarray(q[:, :kept])
+
+
+def cgs2(q, x):
+    """Project ``x`` off the span of orthonormal ``q`` by block classical
+    Gram-Schmidt with one reorthogonalization pass ("twice is enough").
+
+    Returns ``(c, y)`` with ``x = q @ c + y`` and ``q.T @ y`` at round-off
+    level relative to ``x``. Costs two n-by-k-by-j products per pass.
+    """
+    c = q.T @ x
+    y = x - q @ c
+    c2 = q.T @ y
+    y -= q @ c2
+    return c + c2, y
+
+
+def extend_orthonormal(q, new):
+    """Orthonormal columns that extend orthonormal ``q`` (n-by-k) to a basis
+    of the numerical range of ``[q, new]``; ``q`` itself is never changed.
+
+    ``new`` is projected off ``q`` by :func:`cgs2`, then the remainder goes
+    through a column-pivoted QR with the :func:`orthonormalize` drop rule,
+    measured against the largest column norm of ``[q, new]`` (the columns
+    of ``q`` have unit norm). The kept columns get one more projection off
+    ``q`` and a Cholesky-QR pass: a remainder just above the drop threshold
+    would otherwise lose orthogonality to ``q`` in proportion to how much it
+    shrank. Costs O(n k j + n j^2) for j new columns, independent of how
+    the basis was built. The result is Fortran-ordered.
+    """
+    q = np.asarray(q, dtype=float)
+    new = np.asarray(new, dtype=float)
+    if q.ndim != 2 or new.ndim != 2 or q.shape[0] != new.shape[0]:
+        raise ValueError(
+            f"expected 2-D arrays with equal row counts, got {q.shape}, {new.shape}")
+    n, k = q.shape
+    if n < 1:
+        raise ValueError("row dimension must be >= 1")
+    if new.shape[1] == 0:
+        return np.zeros((n, 0))
+    max_col = max(np.max(np.sqrt(np.einsum("ij,ij->j", new, new))),
+                  1.0 if k else 0.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _, rem = cgs2(q, new)
+    # a non-finite q or new shows up in the remainder
+    if not np.all(np.isfinite(rem)):
+        raise ValueError("input contains non-finite entries")
+    if max_col == 0.0:
+        return np.zeros((n, 0))
+    qr_rem, r, _ = sla.qr(rem, mode="economic", pivoting=True)
+    kept = int(np.sum(np.abs(np.diag(r)) > ORTH_DROP_RTOL * max_col))
+    ext = qr_rem[:, :kept]
+    if kept == 0 or k == 0:
+        return ext
+    ext -= q @ (q.T @ ext)
+    chol = np.linalg.cholesky(ext.T @ ext)
+    # ext @ inv(chol).T, formed transposed to stay Fortran-ordered
+    return (sla.solve_triangular(chol, np.eye(kept), lower=True) @ ext.T).T
 
 
 @dataclass(frozen=True)

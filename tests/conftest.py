@@ -53,3 +53,15 @@ def max_principal_angle(x, y):
     qy, _ = np.linalg.qr(y)
     resid = qy - qx @ (qx.T @ qy)
     return float(np.linalg.norm(resid, 2))
+
+
+def two_qr_lyapunov_residual(a, b, factor):
+    """Relative spectral-norm Lyapunov residual ``||A P + P A^T + B B^T||_2 /
+    ||B||_2^2`` of ``P = V C V^T``, from two separate tall QRs of
+    ``G = [A V C, V, B]`` and ``H = [V, A V C, B]`` (``G H^T`` is the
+    residual). ``a`` is a dense array; no package code is used."""
+    v = factor.basis
+    u1 = np.asarray(a) @ (v @ factor.core)
+    _, rg = np.linalg.qr(np.hstack([u1, v, b]))
+    _, rh = np.linalg.qr(np.hstack([v, u1, b]))
+    return np.linalg.norm(rg @ rh.T, 2) / np.linalg.norm(b, 2) ** 2

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import max_principal_angle
+from conftest import max_principal_angle, two_qr_lyapunov_residual
 
 import tibt
-from tibt.alrs import AlrsConfig, padded_change
+from tibt.alrs import AlrsConfig, lowrank_lyapunov_residual, padded_change
 from tibt.errors import NonHurwitzError
 
 
@@ -67,6 +67,37 @@ class TestAlrsLyap:
         m = tibt.heat_rod(1000)
         res = tibt.alrs_lyap(m.A, m.B, AlrsConfig(r0=2, dr=2, tol=1e-6, seed=0))
         assert res.residual <= 1e-4
+
+    @pytest.mark.parametrize("n", [400, 1000, 2000])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-10])
+    def test_residual_matches_two_qr_oracle(self, n, tol):
+        # tol = 1e-10 leaves residuals of 7e-10 to 1.2e-8
+        m = tibt.heat_rod(n)
+        cfg = AlrsConfig(r0=2, dr=2, tol=tol, seed=0)
+        factor = tibt.alrs_lyap(m.A, m.B, cfg).factor
+        expected = two_qr_lyapunov_residual(m.A.to_dense(), m.B, factor)
+        got = lowrank_lyapunov_residual(m.A, m.B, factor)
+        assert abs(got - expected) <= 1e-10 * expected
+
+    def test_basis_stays_orthonormal_every_sweep(self):
+        # tol = 1e-10 drives the basis into directions it already holds, so
+        # the append kernel drops columns; orthonormality must survive that
+        m = tibt.heat_rod(2000)
+        orth = []
+        dropped = []
+        widths = []
+
+        def probe(record, basis, directions):
+            gram = basis.T @ basis
+            orth.append(np.linalg.norm(gram - np.eye(gram.shape[0]), 2))
+            if record.i > 1:
+                dropped.append(basis.shape[1] < widths[-1] + directions.shape[1])
+            widths.append(basis.shape[1])
+
+        tibt.alrs_lyap(m.A, m.B, AlrsConfig(r0=2, dr=2, tol=1e-10, seed=0),
+                       on_iteration=probe)
+        assert any(dropped)
+        assert max(orth) <= 1e-12
 
     def test_basis_is_orthonormal_and_core_psd(self):
         m = tibt.heat_rod(300)

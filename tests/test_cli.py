@@ -1,3 +1,4 @@
+import importlib.util
 import json
 
 import pytest
@@ -50,6 +51,30 @@ class TestRunDenseBt:
         assert b"e+01" in raw or b"e+1" in raw
 
 
+class TestProducedOrder:
+    @pytest.mark.parametrize("task", ["dense-bt", "tcr", "tor"])
+    def test_clamped_order_written_and_warned(self, tmp_path, capsys, task):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "illustrative4"},
+                           task=task, r=50, output_dir=str(out))
+        assert main(["run", cfg]) == 0
+        _, hsv_rows = read_csv(out / "hsv.csv")
+        _, err_rows = read_csv(out / "errors.csv")
+        assert {row[2] for row in err_rows} == {str(len(hsv_rows))}
+        assert len(hsv_rows) < 50
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: {task} produced order {len(hsv_rows)}")
+
+    def test_unclamped_order_is_silent(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "illustrative4"},
+                           task="dense-bt", r=2, output_dir=str(out))
+        assert main(["run", cfg]) == 0
+        _, err_rows = read_csv(out / "errors.csv")
+        assert {row[2] for row in err_rows} == {"2"}
+        assert capsys.readouterr().err == ""
+
+
 class TestConfigValidation:
     def test_malformed_json_exits_one_without_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -80,6 +105,26 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, model={"kind": "illustrative4"},
                            task="tcr")
         assert main(["run", cfg]) == 1
+
+    @pytest.mark.parametrize("body", [
+        {"model": {"kind": "heat_rod", "n": 50}, "task": "solve-lyap",
+         "alg": {"tol": 2}},
+        {"model": {"kind": "heat_rod", "n": 50}, "task": "atia-bt",
+         "alg": {"r0": 0}},
+        {"model": {"kind": "heat_rod", "n": 2}, "task": "dense-bt", "r": 1},
+        {"model": {"kind": "random_stable", "n": 0, "m": 1, "p": 1},
+         "task": "dense-bt", "r": 1},
+        {"model": {"kind": "illustrative4"}, "task": "tcr", "r": 0},
+        {"model": {"kind": "illustrative4"}, "task": "tor", "r": "two"},
+    ])
+    def test_bad_values_exit_one_with_message(self, tmp_path, capsys, body):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, output_dir=str(out), **body)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_compare_command_requires_compare_task(self, tmp_path):
         cfg = write_config(tmp_path, model={"kind": "illustrative4"},
@@ -187,6 +232,17 @@ class TestReproducibility:
             outs.append(out)
         for name in ("hsv.csv", "errors.csv", "history.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_thread_pinning_recorded(self, tmp_path, flag):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "illustrative4"},
+                           task="dense-bt", r=2, output_dir=str(out))
+        assert main(["run", cfg] + (["--deterministic"] if flag else [])) == 0
+        run_echo = json.loads((out / "run.json").read_text())
+        assert run_echo["deterministic"] is flag
+        pinnable = importlib.util.find_spec("threadpoolctl") is not None
+        assert run_echo["threads_pinned"] is (flag and pinnable)
 
     def test_seed_override_recorded_and_applied(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -12,6 +12,7 @@ from tibt.errors import (
 from tibt.linalg import (
     DenseOperator,
     TridiagonalOperator,
+    extend_orthonormal,
     ordered_svd,
     orthonormalize,
     psd_factor,
@@ -184,6 +185,91 @@ class TestOrthonormalize:
     def test_zero_columns_passthrough(self):
         q = orthonormalize(np.zeros((4, 0)))
         assert q.shape == (4, 0)
+
+
+def orthonormal_columns(n, k, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, k)))
+    return q
+
+
+class TestExtendOrthonormal:
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_orthogonal_to_q_when_new_is_nearly_inside(self, scale):
+        # the remainder sits ~1e-11 relative above span(q), just clear of
+        # the drop rule, where one CGS2 pass alone leaves ~1e-5 overlap
+        rng = np.random.default_rng(70)
+        q = orthonormal_columns(500, 20, 71)
+        inside = q @ rng.standard_normal((20, 4))
+        new = scale * (inside + 1e-11 * np.linalg.norm(inside, axis=0)
+                       * rng.standard_normal((500, 4)) / np.sqrt(500))
+        ext = extend_orthonormal(q, new)
+        assert ext.shape == (500, 4)
+        full = np.hstack([q, ext])
+        assert np.linalg.norm(full.T @ full - np.eye(24), 2) <= 1e-12
+
+    @pytest.mark.parametrize("gap", [1e-11, 1e-9])
+    def test_orthogonal_to_q_when_new_columns_nearly_dependent(self, gap):
+        # two new columns a relative gap apart: the second pivot of the
+        # remainder is ~gap, so round-off along q is amplified by 1/gap
+        # unless the kept columns are projected off q once more
+        rng = np.random.default_rng(78)
+        q = orthonormal_columns(400, 10, 79)
+        x = q @ rng.standard_normal((10, 1)) + rng.standard_normal((400, 1))
+        z = rng.standard_normal((400, 1))
+        new = np.hstack([x, x + gap * np.linalg.norm(x) * z / np.linalg.norm(z)])
+        ext = extend_orthonormal(q, new)
+        assert ext.shape == (400, 2)
+        full = np.hstack([q, ext])
+        assert np.linalg.norm(full.T @ full - np.eye(12), 2) <= 1e-12
+
+    def test_kept_count_matches_full_reorthonormalization(self):
+        rng = np.random.default_rng(72)
+        q = orthonormal_columns(300, 8, 73)
+        fresh = rng.standard_normal((300, 3))
+        new = np.hstack([q @ rng.standard_normal((8, 2)), fresh,
+                         fresh @ rng.standard_normal((3, 2))
+                         + q @ rng.standard_normal((8, 2))])
+        ext = extend_orthonormal(q, new)
+        expected = orthonormalize(np.hstack([q, new])).shape[1] - q.shape[1]
+        assert ext.shape[1] == expected == 3
+        full = np.hstack([q, ext])
+        assert np.linalg.norm(full.T @ full - np.eye(11), 2) <= 1e-12
+        assert np.linalg.norm(new - full @ (full.T @ new)) <= 1e-12 * np.linalg.norm(new)
+
+    def test_empty_q_orthonormalizes_new(self):
+        rng = np.random.default_rng(74)
+        new = rng.standard_normal((40, 5))
+        ext = extend_orthonormal(np.zeros((40, 0)), new)
+        assert ext.shape == (40, 5)
+        assert np.allclose(ext.T @ ext, np.eye(5), atol=1e-12)
+        assert max_principal_angle(ext, new) <= 1e-10
+
+    def test_new_inside_span_adds_nothing(self):
+        q = orthonormal_columns(30, 4, 75)
+        ext = extend_orthonormal(q, q @ np.arange(8.0).reshape(4, 2))
+        assert ext.shape == (30, 0)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_zero_new_gives_empty_extension(self, k):
+        q = orthonormal_columns(10, k, 76) if k else np.zeros((10, 0))
+        assert extend_orthonormal(q, np.zeros((10, 2))).shape == (10, 0)
+        assert extend_orthonormal(q, np.zeros((10, 0))).shape == (10, 0)
+
+    def test_non_finite_input_rejected(self):
+        q = orthonormal_columns(10, 3, 77)
+        new = np.ones((10, 2))
+        bad_new = new.copy()
+        bad_new[4, 1] = np.nan
+        with pytest.raises(ValueError):
+            extend_orthonormal(q, bad_new)
+        bad_q = q.copy()
+        bad_q[2, 0] = np.inf
+        with pytest.raises(ValueError):
+            extend_orthonormal(bad_q, new)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            extend_orthonormal(np.zeros((5, 1)), np.ones((4, 1)))
 
 
 class TestPsdFactor:
