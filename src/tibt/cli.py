@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -84,9 +85,29 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: 'alg' accepts keys {sorted(_ALG_KEYS)}")
     if raw["task"] in ("dense-bt", "tcr", "tor", "tsia") and "r" not in raw:
         raise ConfigError(f"{path}: task {raw['task']!r} requires 'r'")
-    if raw["task"] == "compare" and not raw.get("tols"):
+    if raw["task"] == "compare" and "tols" not in raw:
         raise ConfigError(f"{path}: task 'compare' requires a 'tols' list")
+    tols = raw.get("tols")
+    if tols is not None and not (
+            isinstance(tols, list) and tols
+            and all(_is_number(t) and math.isfinite(t) and t > 0 for t in tols)):
+        raise ConfigError(
+            f"{path}: 'tols' must be a non-empty list of finite positive "
+            f"numbers, got {tols!r}")
+    for key, least in (("grid_points", 2), ("dense_cap", 1)):
+        value = raw.get(key, least)
+        if not (_is_integer(value) and value >= least):
+            raise ConfigError(
+                f"{path}: {key!r} must be an integer >= {least}, got {value!r}")
     return raw
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def build_model(cfg, seed):
@@ -153,15 +174,14 @@ def _history_rows(history):
 
 
 def _default_grid(model, cfg):
-    count = int(cfg.get("grid_points", 400))
-    return FreqGrid.default_for(model, count=count)
+    return FreqGrid.default_for(model, count=cfg.get("grid_points", 400))
 
 
 def run_task(cfg, seed, out_dir):
     """Execute one experiment; returns (exit_code, artifact dict)."""
     task = cfg["task"]
     model = build_model(cfg, seed)
-    dense_cap = int(cfg.get("dense_cap", DENSE_CAP_DEFAULT))
+    dense_cap = cfg.get("dense_cap", DENSE_CAP_DEFAULT)
     dense_ok = model.n <= dense_cap
     artifacts = {}
     code = 0
@@ -206,7 +226,8 @@ def run_task(cfg, seed, out_dir):
     elif task in ("dense-bt", "tcr", "tor"):
         r_req = _order(cfg)
         reducer = {"dense-bt": bt_square_root, "tcr": tcr, "tor": tor}[task]
-        red = reducer(model, min(r_req, model.n))
+        gram = gramians_dense(model)
+        red = reducer(model, min(r_req, model.n), gramians=gram)
         r = red.rom.n
         if r != r_req:
             print(f"warning: {task} produced order {r}, not the requested "
@@ -218,7 +239,6 @@ def run_task(cfg, seed, out_dir):
                      _fmt(hinf_rel_error(model, red.rom,
                                          _default_grid(model, cfg))), str(r))]
         if dense_ok and task != "dense-bt":
-            gram = gramians_dense(model)
             exact = gram.P if task == "tcr" else gram.Q
             basis = red.Vr if task == "tcr" else red.Wr
             approx = basis @ np.diag(red.retained_sv.values) @ basis.T
@@ -226,7 +246,8 @@ def run_task(cfg, seed, out_dir):
                              _fmt(gramian_rel_error(exact, approx)), str(r)))
         if dense_ok:
             err_rows.append(("pq_rel_error",
-                             _fmt(pq_rel_error(model, red, dense_cap)), str(r)))
+                             _fmt(pq_rel_error(model, red, dense_cap, gram)),
+                             str(r)))
         artifacts["errors.csv"] = (("metric", "value", "r"), err_rows)
 
     elif task == "tsia":
@@ -249,23 +270,24 @@ def run_task(cfg, seed, out_dir):
             raise ConfigError(
                 f"compare needs a dense-feasible model (n = {model.n} exceeds "
                 f"dense_cap = {dense_cap})")
-        rows = []
-        any_unconverged = False
-        grid = _default_grid(model, cfg)
-        for tol in cfg["tols"]:
-            result = atia_bt(model, _alg_config(cfg, seed, AtiaConfig, tol=float(tol)))
-            r_sel = result.rom.r
-            atia_ratio = hinf_rel_error(model, result.rom.rom, grid)
-            bt_red = bt_square_root(model, r_sel)
-            bt_ratio = hinf_rel_error(model, bt_red.rom, grid)
-            any_unconverged |= not result.converged
-            rows.append((_fmt(tol), str(r_sel), _fmt(atia_ratio),
-                         _fmt(bt_ratio), str(result.converged).lower()))
+        results = [atia_bt(model, _alg_config(cfg, seed, AtiaConfig, tol=float(tol)))
+                   for tol in cfg["tols"]]
+        # not before atia_bt: its Hurwitz check reports an unstable model
+        gram = gramians_dense(model)
+        bt_roms = [bt_square_root(model, res.rom.r, gramians=gram).rom
+                   for res in results]
+        ratios = hinf_rel_error(model, [res.rom.rom for res in results] + bt_roms,
+                                _default_grid(model, cfg))
+        atia_ratios, bt_ratios = ratios[:len(results)], ratios[len(results):]
+        rows = [(_fmt(tol), str(res.rom.r), _fmt(atia_ratio), _fmt(bt_ratio),
+                 str(res.converged).lower())
+                for tol, res, atia_ratio, bt_ratio in zip(
+                    cfg["tols"], results, atia_ratios, bt_ratios)]
         artifacts["comparison.csv"] = (
             ("tol", "r_selected", "atia_hinf_ratio", "bt_hinf_ratio", "converged"),
             rows,
         )
-        code = 2 if any_unconverged else 0
+        code = 0 if all(res.converged for res in results) else 2
 
     os.makedirs(out_dir, exist_ok=True)
     for name, (header, rows) in artifacts.items():

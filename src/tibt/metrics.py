@@ -3,11 +3,14 @@ ratio, and frequency sweeps.
 
 The H-infinity quantities are computed by sampling a log-spaced frequency
 grid and refining around the peak, so they are lower bounds on the true
-norms; outputs are labeled accordingly.
+norms; outputs are labeled accordingly. Within one ``hinf_rel_error`` call
+the full model's response is solved at most once per distinct frequency and
+shared by both peak searches and by every reduced model of the call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +19,7 @@ from .alrs import LowRankGramian
 from .errors import DenseInfeasibleError, DimensionMismatchError
 from .linalg import solve_lyapunov_dense
 from .reducers import ReducedModel
-from .system import StateSpaceModel, eval_transfer, gramians_dense
+from .system import GramianPair, StateSpaceModel, eval_transfer, gramians_dense
 
 __all__ = [
     "FreqGrid",
@@ -97,12 +100,14 @@ def gramian_rel_error(p_exact, factor) -> float:
 
 
 def pq_rel_error(model: StateSpaceModel, red: ReducedModel,
-                 dense_cap: int = DENSE_CAP_DEFAULT) -> float:
+                 dense_cap: int = DENSE_CAP_DEFAULT,
+                 gramians: GramianPair | None = None) -> float:
     """Relative spectral-norm error of the Gramian product,
-    ``||PQ - (V Pr V^T)(W Qr W^T)||_2 / ||PQ||_2``."""
+    ``||PQ - (V Pr V^T)(W Qr W^T)||_2 / ||PQ||_2``. Pass the model's dense
+    ``gramians`` when they are already at hand."""
     if model.n > dense_cap:
         raise DenseInfeasibleError(f"n = {model.n} exceeds dense cap {dense_cap}")
-    gram = gramians_dense(model)
+    gram = gramians_dense(model) if gramians is None else gramians
     ar = red.rom.A.to_dense()
     pr = solve_lyapunov_dense(ar, red.rom.B @ red.rom.B.T)
     qr = solve_lyapunov_dense(ar.T, red.rom.C.T @ red.rom.C)
@@ -113,14 +118,22 @@ def pq_rel_error(model: StateSpaceModel, red: ReducedModel,
     return float(num / den)
 
 
-def _sigma_max(model, omega):
-    h = eval_transfer(model, 1j * omega)
+def _sigma_max(h):
     return float(np.linalg.norm(h, 2))
 
 
-def _sigma_max_diff(model, rom, omega):
-    h = eval_transfer(model, 1j * omega) - eval_transfer(rom, 1j * omega)
-    return float(np.linalg.norm(h, 2))
+def _memoized_response(model):
+    """``omega -> H(j omega)`` of ``model``, solved once per exact float
+    ``omega``; only the p-by-m responses are kept."""
+    memo = {}
+
+    def response(omega):
+        key = float(omega)
+        if key not in memo:
+            memo[key] = eval_transfer(model, 1j * omega)
+        return memo[key]
+
+    return response
 
 
 def _refine_peak(fun, grid: FreqGrid):
@@ -155,21 +168,42 @@ def _refine_peak(fun, grid: FreqGrid):
     return float(best_v), float(best_w)
 
 
-def hinf_rel_error(model: StateSpaceModel, rom: StateSpaceModel,
-                   grid: FreqGrid | None = None) -> float:
+def hinf_rel_error(model: StateSpaceModel,
+                   rom: StateSpaceModel | Sequence[StateSpaceModel],
+                   grid: FreqGrid | None = None) -> float | list[float]:
     """Sampled-peak relative error ratio between ``model`` and ``rom``.
 
     Both peaks (of the error response and of the original response) are
     grid-sampled and locally refined, so the result is a lower bound on the
     true H-infinity ratio.
+
+    ``rom`` may also be a sequence of reduced models; the result is then the
+    list of their ratios, in order. The full model's response is solved at
+    most once per distinct frequency of the call: both peak searches and
+    every reduced model read it, and the reference peak is found once.
+
+    Raises
+    ------
+    ValueError
+        If ``rom`` is an empty sequence.
     """
+    single = isinstance(rom, StateSpaceModel)
+    roms = [rom] if single else list(rom)
+    if not roms:
+        raise ValueError("need at least one reduced model")
     if grid is None:
         grid = FreqGrid.default_for(model)
-    num, _ = _refine_peak(lambda w: _sigma_max_diff(model, rom, w), grid)
-    den, _ = _refine_peak(lambda w: _sigma_max(model, w), grid)
-    if den == 0.0:
-        return 0.0 if num == 0.0 else np.inf
-    return float(num / den)
+    full = _memoized_response(model)
+    den, _ = _refine_peak(lambda w: _sigma_max(full(w)), grid)
+    ratios = []
+    for red in roms:
+        num, _ = _refine_peak(
+            lambda w: _sigma_max(full(w) - eval_transfer(red, 1j * w)), grid)
+        if den == 0.0:
+            ratios.append(0.0 if num == 0.0 else np.inf)
+        else:
+            ratios.append(float(num / den))
+    return ratios[0] if single else ratios
 
 
 def sigma_sweep(model: StateSpaceModel, grid: FreqGrid) -> np.ndarray:
@@ -179,5 +213,5 @@ def sigma_sweep(model: StateSpaceModel, grid: FreqGrid) -> np.ndarray:
     """
     rows = np.empty((len(grid.points), 2))
     for idx, w in enumerate(grid.points):
-        rows[idx] = (w, _sigma_max(model, w))
+        rows[idx] = (w, _sigma_max(eval_transfer(model, 1j * w)))
     return rows

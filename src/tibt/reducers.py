@@ -167,7 +167,7 @@ def bt_square_root(model: StateSpaceModel, r,
     return bt_from_factors(model, lp, lq, r)
 
 
-def _eig_truncation(model, gram, r, kind):
+def _eig_truncation(model, gram, r):
     require_hurwitz(model)
     w, t = np.linalg.eigh(gram)
     w = w[::-1]
@@ -186,7 +186,7 @@ def tcr(model: StateSpaceModel, r,
     states (top eigenvectors of P, a Galerkin projection)."""
     if gramians is None:
         gramians = gramians_dense(model)
-    return _eig_truncation(model, gramians.P, r, "controllability")
+    return _eig_truncation(model, gramians.P, r)
 
 
 def tor(model: StateSpaceModel, r,
@@ -195,7 +195,7 @@ def tor(model: StateSpaceModel, r,
     (top eigenvectors of Q, a Galerkin projection)."""
     if gramians is None:
         gramians = gramians_dense(model)
-    return _eig_truncation(model, gramians.Q, r, "observability")
+    return _eig_truncation(model, gramians.Q, r)
 
 
 def _realify_points(points, dirs, what):

@@ -75,10 +75,6 @@ class StateSpaceModel:
         """The dual realization (A^T, C^T, B^T)."""
         return StateSpaceModel(self.A.transpose(), self.C.T, self.B.T)
 
-    def dense_matrices(self):
-        """Return (A, B, C) with A materialized as a dense array."""
-        return self.A.to_dense(), self.B, self.C
-
 
 @dataclass(frozen=True)
 class GramianPair:

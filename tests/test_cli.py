@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import tibt.system
 from tibt.cli import main
 
 
@@ -126,10 +127,69 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [
+        {"grid_points": 1},
+        {"grid_points": "many"},
+        {"grid_points": 2.5},
+        {"grid_points": True},
+        {"tols": ["x"]},
+        {"tols": []},
+        {"tols": 1e-3},
+        {"tols": [1e-3, 0.0]},
+        {"tols": [-1e-3]},
+        {"tols": [float("inf")]},
+        {"dense_cap": "big"},
+        {"dense_cap": 0},
+    ])
+    def test_bad_run_settings_rejected_before_model_built(
+            self, tmp_path, capsys, monkeypatch, extra):
+        def no_model(*args):
+            raise AssertionError("model built from a bad config")
+
+        monkeypatch.setattr("tibt.cli.build_model", no_model)
+        out = tmp_path / "out"
+        body = {"tols": [1e-3], **extra}
+        cfg = write_config(tmp_path, model={"kind": "heat_rod", "n": 50},
+                           task="compare", output_dir=str(out), **body)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert repr(next(iter(extra))) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_compare_command_requires_compare_task(self, tmp_path):
         cfg = write_config(tmp_path, model={"kind": "illustrative4"},
                            task="dense-bt", r=2)
         assert main(["compare", cfg]) == 1
+
+
+class TestDenseGramiansOnce:
+    @pytest.mark.parametrize("body", [
+        {"task": "dense-bt", "r": 4},
+        {"task": "tcr", "r": 4},
+        {"task": "tor", "r": 4},
+        {"task": "atia-bt", "alg": {"tol": 1e-4}},
+        {"task": "solve-lyap"},
+        {"task": "compare", "tols": [1e-3, 1e-4]},
+    ], ids=lambda body: body["task"])
+    def test_two_full_size_lyapunov_solves(self, tmp_path, monkeypatch, body):
+        n = 60
+        sizes = []
+        solve = tibt.system.solve_lyapunov_dense
+
+        def counting(a, g):
+            sizes.append(len(a))
+            return solve(a, g)
+
+        monkeypatch.setattr(tibt.system, "solve_lyapunov_dense", counting)
+        cfg = write_config(tmp_path,
+                           model={"kind": "random_stable", "n": n, "m": 2,
+                                  "p": 2, "seed": 1},
+                           grid_points=60, output_dir=str(tmp_path / "out"),
+                           **body)
+        assert main(["run", cfg]) == 0
+        assert sizes.count(n) == 2
 
 
 class TestSolveLyap:

@@ -154,6 +154,44 @@ class TestHinfRelError:
         assert abs(e1 - e2) <= 1e-10 * max(e1, 1e-30)
 
 
+class TestHinfRelErrorSequence:
+    @pytest.mark.parametrize("make", [
+        lambda: tibt.heat_rod(400),
+        lambda: tibt.random_stable(60, 2, 2, seed=3),
+    ], ids=["heat_rod", "random_stable"])
+    def test_matches_single_calls_exactly(self, make):
+        m = make()
+        r1 = tibt.bt_square_root(m, 6).rom
+        r2 = tibt.tcr(m, 6).rom
+        grid = FreqGrid.default_for(m, count=100)
+        assert tibt.hinf_rel_error(m, [r1, r2], grid) == [
+            tibt.hinf_rel_error(m, r1, grid), tibt.hinf_rel_error(m, r2, grid)]
+
+    def test_full_model_solved_once_per_frequency(self, monkeypatch):
+        m = tibt.random_stable(60, 2, 2, seed=3)
+        roms = [tibt.bt_square_root(m, 6).rom, tibt.tcr(m, 6).rom]
+        grid = FreqGrid.default_for(m, count=50)
+        shifts = []
+        solve = m.A.shifted_solve
+
+        def counting(s, b):
+            shifts.append(s)
+            return solve(s, b)
+
+        monkeypatch.setattr(m.A, "shifted_solve", counting)
+        tibt.hinf_rel_error(m, roms, grid)
+        assert len(set(shifts)) == len(shifts)
+        assert set(1j * grid.points) <= set(shifts)
+        # plus three golden-section searches (the reference peak and two
+        # error peaks), each under 20 probes on this grid's brackets
+        assert len(shifts) <= len(grid.points) + 3 * 20
+
+    def test_empty_sequence_rejected(self):
+        m = scalar_model()
+        with pytest.raises(ValueError):
+            tibt.hinf_rel_error(m, [])
+
+
 class TestSigmaSweep:
     def test_scalar_analytic_magnitude(self):
         grid = FreqGrid.log_spaced(1e-2, 1e2, 40)
