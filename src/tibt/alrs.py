@@ -7,6 +7,10 @@ projected Lyapunov solution. When the retained values stagnate, the target
 rank is raised and the basis is reset to the latest interpolation data, so
 the basis (and the SVD cost) never grows past ``r * i_max`` columns.
 
+The stage, rank and stop policy lives in :class:`_RankLadder`, which the
+two-sided driver in :mod:`tibt.atia` shares; both truncate through
+:func:`~tibt.reducers.square_root_pair`.
+
 Within a stage the basis grows append-only: new directions are
 orthogonalized against it by block classical Gram-Schmidt with
 reorthogonalization, ``A`` is applied to the new columns only, and the
@@ -17,6 +21,7 @@ costs O(n k j) for a k-column basis and j new columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .linalg import (
     solve_lyapunov_dense,
     solve_sylvester_skinny,
 )
-from .reducers import SCALE_CLIP_RTOL
+from .reducers import square_root_pair
 from .system import require_hurwitz
 
 __all__ = [
@@ -60,6 +65,12 @@ class AlrsConfig:
     stage_tol: float | None = None
 
     def __post_init__(self):
+        for name in ("r0", "dr", "i_max", "k_max", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.r0 < 1 or self.dr < 1 or self.i_max < 1 or self.k_max < 1:
             raise ValueError("r0, dr, i_max, k_max must all be >= 1")
         if not 0.0 < self.tol < 1.0:
@@ -103,9 +114,12 @@ class IterationRecord:
 class AlrsResult:
     factor: LowRankGramian
     singular_history: list[IterationRecord] = field(default_factory=list)
-    iterations_used: int = 0
     converged: bool = False
     residual: float = np.nan
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.singular_history)
 
     @property
     def values(self) -> np.ndarray:
@@ -118,34 +132,68 @@ class AlrsResult:
         return 0.5 * (c + c.T)
 
 
-def _arbitrary_stable_pair(r, m, seed):
-    """Deterministic Gaussian pair with A shifted to be safely Hurwitz."""
-    streams = np.random.SeedSequence(seed).spawn(2)
+def _arbitrary_stable_rom(r, m, p, seed):
+    """Deterministic Gaussian ``(Ar, Br, Cr)`` with ``Ar`` shifted to be
+    safely Hurwitz; ``p = 0`` gives the one-sided pair plus an empty ``Cr``."""
+    streams = np.random.SeedSequence(seed).spawn(3)
     g = np.random.default_rng(streams[0]).standard_normal((r, r))
     ar = g - (np.linalg.norm(g, 2) + 1.0) * np.eye(r)
     br = np.random.default_rng(streams[1]).standard_normal((r, m))
-    return ar, br
+    cr = np.random.default_rng(streams[2]).standard_normal((p, r))
+    return ar, br, cr
 
 
 def padded_change(new, prev):
     """Relative 2-norm change between value vectors of possibly different
     lengths (shorter one zero-padded)."""
     ln = max(len(new), len(prev))
-    a = np.zeros(ln)
-    a[: len(new)] = new
-    b = np.zeros(ln)
-    b[: len(prev)] = prev
+    a = np.pad(new, (0, ln - len(new)))
+    b = np.pad(prev, (0, ln - len(prev)))
     denom = np.linalg.norm(a)
     if denom == 0.0:
         return 0.0 if np.linalg.norm(b) == 0.0 else np.inf
     return float(np.linalg.norm(a - b) / denom)
 
 
-def scaled_truncation(u, s, r_eff):
-    """Columns ``u[:, j] / sqrt(s[j])`` for j < r_eff, skipping values that
-    would blow up the scaling (below ``SCALE_CLIP_RTOL`` of the largest)."""
-    keep = np.arange(r_eff)[s[:r_eff] > SCALE_CLIP_RTOL * s[0]]
-    return u[:, keep] / np.sqrt(s[keep])
+class _RankLadder:
+    """Stage, rank and stop policy of the adaptive drivers. Per sweep the
+    driver calls :meth:`step` with the ordered singular values of its factor
+    product, truncates at the (possibly raised) ``r``, then asks
+    :meth:`done`."""
+
+    def __init__(self, cfg: AlrsConfig):
+        self.cfg = cfg
+        self.r = cfg.r0
+        self.i = 1
+        self.s_prev = np.zeros(0)
+        self.history: list[IterationRecord] = []
+        self.converged = False
+
+    def step(self, s) -> bool:
+        """Record the sweep and return whether its stage ended (stagnation
+        or ``i_max``); an ended stage raises ``r`` by ``dr`` before the
+        caller truncates, so the result over-captures by up to ``dr`` and
+        the run ends only once the insignificant values are included."""
+        cfg = self.cfg
+        s_r = s[:self.r].copy()
+        self.history.append(IterationRecord(k=len(self.history) + 1, i=self.i,
+                                            r=self.r, values=s_r))
+        stage_done = (padded_change(s_r, self.s_prev) <= cfg.effective_stage_tol
+                      or self.i >= cfg.i_max)
+        if stage_done:
+            self.r += cfg.dr
+        self.i = 1 if stage_done else self.i + 1
+        self.s_prev = np.zeros(0) if stage_done else s_r
+        return stage_done
+
+    def done(self, s) -> bool:
+        """Stop on a zero top value (numerically zero right-hand side), on
+        the r-th value below ``tol`` times the top (a rank-deficient product
+        has an exactly zero r-th value), or, unconverged, after ``k_max``
+        sweeps."""
+        s_r_r = s[self.r - 1] if self.r <= len(s) else 0.0
+        self.converged = bool(s[0] <= 0.0 or s_r_r / s[0] < self.cfg.tol)
+        return self.converged or len(self.history) >= self.cfg.k_max
 
 
 def lowrank_lyapunov_residual(a, b, factor: LowRankGramian) -> float:
@@ -248,63 +296,29 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
         raise ValueError(f"B must have {op.n} rows, got {b.shape}")
     m = b.shape[1]
 
-    r = cfg.r0
-    ar, br = _arbitrary_stable_pair(r, m, cfg.seed)
+    ladder = _RankLadder(cfg)
+    ar, br, _ = _arbitrary_stable_rom(cfg.r0, m, 0, cfg.seed)
     basis = _Basis(op.n, m)
-    s_prev = np.zeros(0)
-    history: list[IterationRecord] = []
-    k = 1
-    i = 1
-    converged = False
-    vr = None
     while True:
         phat = solve_sylvester_skinny(op, ar, b @ br.T)
         basis.extend(op, b, phat)
         if basis.k == 0:  # zero right-hand side: nothing to capture
-            ar = np.zeros((0, 0))
+            small = ar = np.zeros((0, 0))
             br = np.zeros((0, m))
-            vr = np.zeros((op.n, 0))
-            converged = True
+            ladder.converged = True
             break
-        ak = basis.ak
-        bk = basis.bk
-        pk = solve_lyapunov_dense(ak, bk @ bk.T)
-        zp = psd_factor(pk).z
-        u, s_full, _ = ordered_svd(zp.T @ zp)
-        r_eff = min(r, len(s_full))
-        s_r = s_full[:r_eff].copy()
-        history.append(IterationRecord(k=k, i=i, r=r, values=s_r))
+        ak, bk = basis.ak, basis.bk
+        zp = psd_factor(solve_lyapunov_dense(ak, bk @ bk.T)).z
+        svd = ordered_svd(zp.T @ zp)
+        stage_done = ladder.step(svd[1])
         if on_iteration is not None:
-            on_iteration(history[-1], basis.v, phat)
+            on_iteration(ladder.history[-1], basis.v, phat)
 
-        stage_done = (padded_change(s_r, s_prev) <= cfg.effective_stage_tol
-                      or i >= cfg.i_max)
-        if stage_done:
-            # raise the target rank before rebuilding: the returned basis
-            # over-captures by up to dr, so the run ends only once the
-            # insignificant values are already included
-            r += cfg.dr
-        small = zp @ scaled_truncation(u, s_full, min(r, len(s_full)))
-        vr = basis.v @ small
+        # Zp^T Zp is symmetric, so both sides of the pair agree; use U's
+        _, small = square_root_pair(zp, zp, svd, ladder.r)
         ar = small.T @ ak @ small
         br = small.T @ bk
-        if stage_done:
-            s_prev = np.zeros(0)
-            i = 1
-        else:
-            s_prev = s_r
-            i += 1
-        k += 1
-
-        if s_full[0] <= 0.0:
-            converged = True  # right-hand side numerically zero
-            break
-        # a rank-deficient factor product means the r-th value is exactly zero
-        s_r_r = s_full[r - 1] if r <= len(s_full) else 0.0
-        if s_r_r / s_full[0] < cfg.tol:
-            converged = True
-            break
-        if k > cfg.k_max:
+        if ladder.done(svd[1]):
             break
         if stage_done:
             # the next stage starts from the latest interpolation data alone
@@ -312,8 +326,7 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
             basis.extend(op, b, phat)
 
     pr = solve_lyapunov_dense(ar, br @ br.T) if ar.shape[0] else np.zeros((0, 0))
-    factor = LowRankGramian(basis=vr, core=pr)
+    factor = LowRankGramian(basis=basis.v @ small, core=pr)
     residual = lowrank_lyapunov_residual(op, b, factor)
-    return AlrsResult(factor=factor, singular_history=history,
-                      iterations_used=k - 1, converged=converged,
-                      residual=residual)
+    return AlrsResult(factor=factor, singular_history=ladder.history,
+                      converged=ladder.converged, residual=residual)

@@ -7,6 +7,11 @@ Gramian factors. Stagnation of the retained Hankel estimates triggers an
 order increase and a basis reset; the run ends when the r-th estimate falls
 below ``tol`` times the largest, leaving a ROM that carries the dominant
 Hankel singular values of the full model.
+
+The stage, rank and stop policy is the Lyapunov solver's rank ladder and
+the truncation is :func:`~tibt.reducers.square_root_pair`; only the sweep
+body differs. Unlike the one-sided solver, both bases are re-orthonormalized
+in full every sweep and re-biorthogonalized when ``W_k^T V_k`` degrades.
 """
 
 from __future__ import annotations
@@ -15,12 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alrs import (
-    AlrsConfig,
-    IterationRecord,
-    padded_change,
-    scaled_truncation,
-)
+from .alrs import AlrsConfig, IterationRecord, _arbitrary_stable_rom, _RankLadder
 from .errors import DenseInfeasibleError
 from .linalg import (
     ordered_svd,
@@ -29,7 +29,7 @@ from .linalg import (
     solve_lyapunov_dense,
     solve_sylvester_skinny,
 )
-from .reducers import ReducedModel, reflect_spectrum
+from .reducers import ReducedModel, reflect_spectrum, square_root_pair
 from .system import StateSpaceModel, SvReport, hankel_singular_values, require_hurwitz
 
 __all__ = ["AtiaConfig", "AtiaResult", "atia_bt", "atia_hsv_compare"]
@@ -40,27 +40,30 @@ REFLECT_FLOOR = 1e-8
 BIORTH_COND_CAP = 1e12
 
 
-class AtiaConfig(AlrsConfig):
-    """Run parameters; identical fields and semantics as the Lyapunov
-    solver's configuration (r0 is the initial ROM order)."""
+# Run parameters: the Lyapunov solver's fields and semantics (r0 is the
+# initial ROM order).
+AtiaConfig = AlrsConfig
 
 
 @dataclass(frozen=True)
 class AtiaResult:
+    """The reduced model and the per-sweep history; the Hankel estimates,
+    the convergence flag and the sweep count are read off them."""
+
     rom: ReducedModel
-    hankel_estimates: SvReport
     history: list[IterationRecord] = field(default_factory=list)
-    converged: bool = False
-    iterations_used: int = 0
 
+    @property
+    def hankel_estimates(self) -> SvReport:
+        return self.rom.retained_sv
 
-def _arbitrary_stable_rom(r, m, p, seed):
-    streams = np.random.SeedSequence(seed).spawn(3)
-    g = np.random.default_rng(streams[0]).standard_normal((r, r))
-    ar = g - (np.linalg.norm(g, 2) + 1.0) * np.eye(r)
-    br = np.random.default_rng(streams[1]).standard_normal((r, m))
-    cr = np.random.default_rng(streams[2]).standard_normal((p, r))
-    return ar, br, cr
+    @property
+    def converged(self) -> bool:
+        return self.rom.converged
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.history)
 
 
 def _rebiorthogonalize(vk, wk, wv):
@@ -87,16 +90,9 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
     ``(record, v_basis, w_basis, new_v_directions, new_w_directions)``.
     """
     require_hurwitz(model)
-    r = cfg.r0
-    ar, br, cr = _arbitrary_stable_rom(r, model.m, model.p, cfg.seed)
-    vk = np.zeros((model.n, 0))
-    wk = np.zeros((model.n, 0))
-    s_prev = np.zeros(0)
-    history: list[IterationRecord] = []
-    k = 1
-    i = 1
-    converged = False
-    vr = wr = None
+    ladder = _RankLadder(cfg)
+    ar, br, cr = _arbitrary_stable_rom(cfg.r0, model.m, model.p, cfg.seed)
+    vk = wk = np.zeros((model.n, 0))
     while True:
         ar = reflect_spectrum(ar, floor=REFLECT_FLOOR)
         phat = solve_sylvester_skinny(model.A, ar, model.B @ br.T)
@@ -113,72 +109,33 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
             wv = wk.T @ vk
 
         avk = model.A.apply(vk)
-        atwk = model.A.apply_transpose(wk)
-        ak_v = vk.T @ avk
-        ak_w = wk.T @ atwk
         bk = vk.T @ model.B
         ck = model.C @ wk
-        pk = solve_lyapunov_dense(ak_v, bk @ bk.T)
-        qk = solve_lyapunov_dense(ak_w, ck.T @ ck)
-        zp = psd_factor(pk).z
-        zq = psd_factor(qk).z
-        u, s_full, v = ordered_svd(zq.T @ wv @ zp)
-        r_eff = min(r, len(s_full))
-        s_r = s_full[:r_eff].copy()
-        history.append(IterationRecord(k=k, i=i, r=r, values=s_r))
+        zp = psd_factor(solve_lyapunov_dense(vk.T @ avk, bk @ bk.T)).z
+        zq = psd_factor(solve_lyapunov_dense(
+            wk.T @ model.A.apply_transpose(wk), ck.T @ ck)).z
+        svd = ordered_svd(zq.T @ wv @ zp)
+        stage_done = ladder.step(svd[1])
         if on_iteration is not None:
-            on_iteration(history[-1], vk, wk, phat, qhat)
+            on_iteration(ladder.history[-1], vk, wk, phat, qhat)
 
-        stage_done = (padded_change(s_r, s_prev) <= cfg.effective_stage_tol
-                      or i >= cfg.i_max)
-        if stage_done:
-            # raise the target order before rebuilding: the returned ROM
-            # over-captures by up to dr, so the run ends only once the
-            # insignificant values are already included
-            r += cfg.dr
-        r_cols = min(r, len(s_full))
-        vr_small = zp @ scaled_truncation(v, s_full, r_cols)
-        wr_small = zq @ scaled_truncation(u, s_full, r_cols)
-        vr = vk @ vr_small
-        wr = wk @ wr_small
-        retained = s_full[: vr.shape[1]].copy()
-
+        vr_small, wr_small = square_root_pair(zp, zq, svd, ladder.r)
         # oblique projection update in the small coordinates
-        wav = wk.T @ avk
-        ar = wr_small.T @ wav @ vr_small
+        ar = wr_small.T @ (wk.T @ avk) @ vr_small
         br = wr_small.T @ (wk.T @ model.B)
         cr = (model.C @ vk) @ vr_small
-
+        if ladder.done(svd[1]):
+            break
         if stage_done:
             vk = orthonormalize(phat)
             wk = orthonormalize(qhat)
-            s_prev = np.zeros(0)
-            i = 0
-        else:
-            s_prev = s_r
-        i += 1
-        k += 1
 
-        if s_full[0] <= 0.0:
-            converged = True
-            break
-        # a rank-deficient factor product means the r-th value is exactly zero
-        s_r_r = s_full[r - 1] if r <= len(s_full) else 0.0
-        if s_r_r / s_full[0] < cfg.tol:
-            converged = True
-            break
-        if k > cfg.k_max:
-            break
-
-    rom = StateSpaceModel(ar, br, cr)
-    values = retained
-    red = ReducedModel(rom=rom, Vr=vr, Wr=wr,
-                       retained_sv=SvReport(values=values, kind="hankel"),
-                       converged=converged, iterations=k - 1)
-    estimates = SvReport(values=values.copy(), kind="hankel",
-                         history=list(history))
-    return AtiaResult(rom=red, hankel_estimates=estimates, history=history,
-                      converged=converged, iterations_used=k - 1)
+    retained = SvReport(values=svd[1][:vr_small.shape[1]].copy(), kind="hankel")
+    red = ReducedModel(rom=StateSpaceModel(ar, br, cr),
+                       Vr=vk @ vr_small, Wr=wk @ wr_small,
+                       retained_sv=retained, converged=ladder.converged,
+                       iterations=len(ladder.history))
+    return AtiaResult(rom=red, history=ladder.history)
 
 
 def atia_hsv_compare(result: AtiaResult, model: StateSpaceModel,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import benchmarks
 from .alrs import AlrsConfig, alrs_lyap
-from .atia import AtiaConfig, atia_bt, atia_hsv_compare
+from .atia import atia_bt, atia_hsv_compare
 from .errors import TibtError
 from .metrics import DENSE_CAP_DEFAULT, FreqGrid, gramian_rel_error, hinf_rel_error, pq_rel_error
 from .reducers import bt_square_root, h2_optimality_residuals, tcr, tor, tsia
@@ -94,11 +94,16 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"{path}: 'tols' must be a non-empty list of finite positive "
             f"numbers, got {tols!r}")
-    for key, least in (("grid_points", 2), ("dense_cap", 1)):
+    for key, least in (("r", 1), ("seed", 0), ("grid_points", 2), ("dense_cap", 1)):
         value = raw.get(key, least)
         if not (_is_integer(value) and value >= least):
             raise ConfigError(
                 f"{path}: {key!r} must be an integer >= {least}, got {value!r}")
+    # ranges are checked by the model constructors
+    for key in sorted(model.keys() & {"n", "m", "p", "seed"}):
+        if not _is_integer(model[key]):
+            raise ConfigError(
+                f"{path}: model {key!r} must be an integer, got {model[key]!r}")
     return raw
 
 
@@ -116,11 +121,10 @@ def build_model(cfg, seed):
     # the constructors validate sizes and entries with ValueError
     try:
         if kind == "heat_rod":
-            return benchmarks.heat_rod(int(model["n"]))
+            return benchmarks.heat_rod(model["n"])
         if kind == "random_stable":
-            return benchmarks.random_stable(int(model["n"]), int(model["m"]),
-                                            int(model["p"]),
-                                            int(model.get("seed", seed)))
+            return benchmarks.random_stable(model["n"], model["m"], model["p"],
+                                            model.get("seed", seed))
         if kind == "illustrative4":
             return benchmarks.illustrative4()
         return benchmarks.load_matrix_market(model["a_path"], model["b_path"],
@@ -129,25 +133,26 @@ def build_model(cfg, seed):
         raise ConfigError(f"model {kind}: {exc}") from exc
 
 
-def _alg_config(cfg, seed, cls, tol=None):
+def _alg_config(cfg, seed, tol=None):
     alg = dict(cfg.get("alg", {}))
     alg.setdefault("seed", seed)
     if tol is not None:
         alg["tol"] = tol
-    # the config class validates its fields with ValueError
+    # the config class validates its fields with TypeError/ValueError
     try:
-        return cls(**alg)
+        return AlrsConfig(**alg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"alg: {exc}") from exc
 
 
-def _order(cfg):
-    try:
-        r = int(cfg["r"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'r' must be an integer, got {cfg['r']!r}") from exc
-    if r < 1:
-        raise ConfigError(f"'r' must be >= 1, got {r}")
+def _produced_order(task, red, r_req, n):
+    """The order ``red`` actually has, warning on stderr when it is not the
+    requested one."""
+    r = red.rom.n
+    if r != r_req:
+        print(f"warning: {task} produced order {r}, not the requested "
+              f"r = {r_req} (capped by n = {n} and by numerical rank)",
+              file=sys.stderr)
     return r
 
 
@@ -191,7 +196,7 @@ def run_task(cfg, seed, out_dir):
         if side not in ("p", "q"):
             raise ConfigError("'side' must be 'p' or 'q'")
         work = model if side == "p" else model.dual()
-        result = alrs_lyap(work.A, work.B, _alg_config(cfg, seed, AlrsConfig))
+        result = alrs_lyap(work.A, work.B, _alg_config(cfg, seed))
         artifacts["hsv.csv"] = (("index", "value"), _hsv_rows(result.values))
         err_rows = [("lyapunov_residual", _fmt(result.residual),
                      str(result.factor.rank))]
@@ -207,7 +212,7 @@ def run_task(cfg, seed, out_dir):
         code = 0 if result.converged else 2
 
     elif task == "atia-bt":
-        result = atia_bt(model, _alg_config(cfg, seed, AtiaConfig))
+        result = atia_bt(model, _alg_config(cfg, seed))
         artifacts["hsv.csv"] = (("index", "value"),
                                 _hsv_rows(result.hankel_estimates.values))
         err_rows = [("hinf_rel_error_vs_original",
@@ -224,15 +229,10 @@ def run_task(cfg, seed, out_dir):
         code = 0 if result.converged else 2
 
     elif task in ("dense-bt", "tcr", "tor"):
-        r_req = _order(cfg)
         reducer = {"dense-bt": bt_square_root, "tcr": tcr, "tor": tor}[task]
         gram = gramians_dense(model)
-        red = reducer(model, min(r_req, model.n), gramians=gram)
-        r = red.rom.n
-        if r != r_req:
-            print(f"warning: {task} produced order {r}, not the requested "
-                  f"r = {r_req} (capped by n = {model.n} and the numerical "
-                  "rank of the Gramians)", file=sys.stderr)
+        red = reducer(model, min(cfg["r"], model.n), gramians=gram)
+        r = _produced_order(task, red, cfg["r"], model.n)
         artifacts["hsv.csv"] = (("index", "value"),
                                 _hsv_rows(red.retained_sv.values))
         err_rows = [("hinf_rel_error",
@@ -251,9 +251,10 @@ def run_task(cfg, seed, out_dir):
         artifacts["errors.csv"] = (("metric", "value", "r"), err_rows)
 
     elif task == "tsia":
-        r = _order(cfg)
-        init = benchmarks.random_stable(r, model.m, model.p, seed)
+        init = benchmarks.random_stable(min(cfg["r"], model.n), model.m,
+                                        model.p, seed)
         red = tsia(model, init)
+        r = _produced_order(task, red, cfg["r"], model.n)
         hsv = hankel_singular_values(red.rom) if red.rom.n <= dense_cap else None
         if hsv is not None:
             artifacts["hsv.csv"] = (("index", "value"), _hsv_rows(hsv.values))
@@ -270,7 +271,7 @@ def run_task(cfg, seed, out_dir):
             raise ConfigError(
                 f"compare needs a dense-feasible model (n = {model.n} exceeds "
                 f"dense_cap = {dense_cap})")
-        results = [atia_bt(model, _alg_config(cfg, seed, AtiaConfig, tol=float(tol)))
+        results = [atia_bt(model, _alg_config(cfg, seed, tol=float(tol)))
                    for tol in cfg["tols"]]
         # not before atia_bt: its Hurwitz check reports an unstable model
         gram = gramians_dense(model)
@@ -321,7 +322,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.command == "compare" and cfg["task"] != "compare":
             raise ConfigError("the compare command requires task 'compare'")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         out_dir = args.output_dir or cfg.get("output_dir", ".")
         limiter = _limit_threads() if args.deterministic else None
         try:

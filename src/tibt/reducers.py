@@ -39,6 +39,7 @@ __all__ = [
     "project",
     "bt_square_root",
     "bt_from_factors",
+    "square_root_pair",
     "tcr",
     "tor",
     "tangential_interpolate",
@@ -118,26 +119,38 @@ def _check_sv_gap(s, r):
             f"sigma_{r} - sigma_{r + 1} <= 1e-12 * sigma_1; truncation ill-defined")
 
 
+def square_root_pair(zp, zq, svd, r):
+    """Square-root truncation pair ``Vr = Zp V_j S_j^{-1/2}``,
+    ``Wr = Zq U_j S_j^{-1/2}`` from the ordered SVD ``(U, S, V)`` of
+    ``Zq^T E Zp``, so ``Wr^T E Vr = I``. It keeps the leading ``j <= r``
+    values above ``SCALE_CLIP_RTOL`` of the largest (none for a zero
+    product), dropping those that would blow up the scaling."""
+    u, s, v = svd
+    keep = np.flatnonzero(s[:r] > SCALE_CLIP_RTOL * s[0])
+    scale = np.sqrt(s[keep])
+    return zp @ (v[:, keep] / scale), zq @ (u[:, keep] / scale)
+
+
 def bt_from_factors(model: StateSpaceModel, zp, zq, r) -> ReducedModel:
     """Square-root balanced truncation from Gramian factors ``P ~ Zp Zp^T``,
     ``Q ~ Zq Zq^T``.
 
-    Computes the SVD of ``Zq^T Zp`` and forms ``Vr = Zp R_r S_r^{-1/2}``,
-    ``Wr = Zq U_r S_r^{-1/2}``. With exact full-rank factors this is classical
+    Computes the SVD of ``Zq^T Zp`` and forms ``Vr = Zp V_r S_r^{-1/2}``,
+    ``Wr = Zq U_r S_r^{-1/2}`` (:func:`square_root_pair`), dropping values
+    too small to scale. With exact full-rank factors this is classical
     balanced truncation; with truncated factors it is the low-rank variant.
     """
+    if r < 1:
+        raise ValueError(f"r = {r} must be >= 1")
     zp = np.asarray(zp, dtype=float)
     zq = np.asarray(zq, dtype=float)
-    u, s, v = ordered_svd(zq.T @ zp)
-    # degrade gracefully when the factors are numerically low-rank
-    effective = int(np.sum(s > SCALE_CLIP_RTOL * s[0])) if len(s) and s[0] > 0 else 0
-    if effective == 0:
+    svd = ordered_svd(zq.T @ zp)
+    s = svd[1]
+    if not (len(s) and s[0] > 0):
         raise ValueError("Gramian factors have numerically zero product")
-    r = min(r, effective)
+    vr, wr = square_root_pair(zp, zq, svd, r)
+    r = vr.shape[1]
     _check_sv_gap(s, r)
-    scale = 1.0 / np.sqrt(s[:r])
-    vr = zp @ (v[:, :r] * scale)
-    wr = zq @ (u[:, :r] * scale)
     av = model.A.apply(vr)
     rom = StateSpaceModel(wr.T @ av, wr.T @ model.B, model.C @ vr)
     return ReducedModel(rom=rom, Vr=vr, Wr=wr,
@@ -252,20 +265,12 @@ class InterpolationData:
     Lb: np.ndarray  # (m, r)
     Sc: np.ndarray  # (r, r)
     Lc: np.ndarray  # (p, r)
-    right_points: np.ndarray | None = None
-    right_dirs: np.ndarray | None = None
-    left_points: np.ndarray | None = None
-    left_dirs: np.ndarray | None = None
 
     @classmethod
     def from_points(cls, right_points, right_dirs, left_points, left_dirs):
         sb, lb = _realify_points(right_points, right_dirs, "right data")
         sc, lc = _realify_points(left_points, left_dirs, "left data")
-        return cls(Sb=sb, Lb=lb, Sc=sc, Lc=lc,
-                   right_points=np.asarray(right_points, dtype=complex),
-                   right_dirs=np.atleast_2d(np.asarray(right_dirs, dtype=complex)),
-                   left_points=np.asarray(left_points, dtype=complex),
-                   left_dirs=np.atleast_2d(np.asarray(left_dirs, dtype=complex)))
+        return cls(Sb=sb, Lb=lb, Sc=sc, Lc=lc)
 
     @property
     def r(self) -> int:
@@ -406,8 +411,9 @@ def two_step_lowrank_bt(model: StateSpaceModel, vk, wk, r) -> ReducedModel:
     Exactly equivalent to reducing the order-k interpolant
     ``C Vk (s Wk^T Vk - Wk^T A Vk)^{-1} Wk^T B`` by classical balanced
     truncation and lifting the result: the Lyapunov equations are solved in
-    the interpolant's (oblique) coordinates, and the cross weight
-    ``Wk^T Vk`` enters the balancing SVD.
+    the interpolant's (oblique) coordinates, and the lifted factors
+    ``Vk Zp``, ``Wk Zq`` go to :func:`bt_from_factors`, whose product
+    ``Zq^T Wk^T Vk Zp`` carries the cross weight.
 
     Raises
     ------
@@ -425,29 +431,15 @@ def two_step_lowrank_bt(model: StateSpaceModel, vk, wk, r) -> ReducedModel:
     e = wk.T @ vk
     if np.linalg.cond(e) > 1e12:
         raise SingularProjectionError("Wk^T Vk is numerically singular")
+    k = e.shape[0]
     ad = wk.T @ model.A.apply(vk)
-    bd = wk.T @ model.B
-    cd = model.C @ vk
-    atil = np.linalg.solve(e, ad)
-    pk = solve_lyapunov_dense(atil, np.linalg.solve(e, bd) @ np.linalg.solve(e, bd).T)
-    a_right = ad @ np.linalg.inv(e)   # interpolant matrix in the dual frame
-    c_right = cd @ np.linalg.inv(e)
-    qk = solve_lyapunov_dense(a_right.T, c_right.T @ c_right)
-    zp = psd_factor(pk).z
-    zq = psd_factor(qk).z
-    u, s, v = ordered_svd(zq.T @ e @ zp)
-    effective = int(np.sum(s > SCALE_CLIP_RTOL * s[0])) if len(s) and s[0] > 0 else 0
-    if effective == 0:
-        raise ValueError("projected Gramian factors have numerically zero product")
-    r = min(r, effective)
-    _check_sv_gap(s, r)
-    scale = 1.0 / np.sqrt(s[:r])
-    vr = vk @ (zp @ (v[:, :r] * scale))
-    wr = wk @ (zq @ (u[:, :r] * scale))
-    rom = StateSpaceModel(wr.T @ model.A.apply(vr), wr.T @ model.B,
-                          model.C @ vr)
-    return ReducedModel(rom=rom, Vr=vr, Wr=wr,
-                        retained_sv=SvReport(values=s[:r].copy(), kind="hankel"))
+    # the interpolant's (E^-1 Ad, E^-1 Bd) for P and the transposes of
+    # (Ad E^-1, Cd E^-1) for Q
+    left = np.linalg.solve(e, np.hstack([ad, wk.T @ model.B]))
+    right = np.linalg.solve(e.T, np.hstack([ad.T, (model.C @ vk).T]))
+    pk = solve_lyapunov_dense(left[:, :k], left[:, k:] @ left[:, k:].T)
+    qk = solve_lyapunov_dense(right[:, :k], right[:, k:] @ right[:, k:].T)
+    return bt_from_factors(model, vk @ psd_factor(pk).z, wk @ psd_factor(qk).z, r)
 
 
 def h2_optimality_residuals(model: StateSpaceModel, red: ReducedModel) -> dict:

@@ -7,7 +7,7 @@ form; everything else stays real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,11 +86,10 @@ class GramianPair:
 
 @dataclass(frozen=True)
 class SvReport:
-    """Ordered singular-value report with an optional iteration history."""
+    """Ordered singular-value report."""
 
     values: np.ndarray
     kind: str  # "gramian-singular" or "hankel"
-    history: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import pytest
 from conftest import max_principal_angle, two_qr_lyapunov_residual
 
 import tibt
-from tibt.alrs import AlrsConfig, lowrank_lyapunov_residual, padded_change
+from tibt.alrs import AlrsConfig, _RankLadder, lowrank_lyapunov_residual, padded_change
 from tibt.errors import NonHurwitzError
 
 
@@ -28,6 +28,63 @@ class TestPaddedChange:
     def test_pads_shorter_with_zeros(self):
         change = padded_change(np.array([3.0, 4.0]), np.array([3.0]))
         assert np.isclose(change, 4.0 / 5.0)
+
+
+class TestRankLadder:
+    def test_stage_ends_on_stagnation_and_raises_rank(self):
+        ladder = _RankLadder(AlrsConfig(r0=2, dr=3, tol=1e-3, i_max=5))
+        s = np.array([1.0, 0.5, 0.1, 0.01])
+        assert ladder.step(s) is False
+        assert (ladder.r, ladder.i) == (2, 2)
+        assert ladder.step(s.copy()) is True  # no change: the stage ended
+        assert (ladder.r, ladder.i) == (5, 1)
+        assert [(h.k, h.i, h.r) for h in ladder.history] == [(1, 1, 2), (2, 2, 2)]
+        assert np.array_equal(ladder.history[0].values, s[:2])
+
+    def test_stage_ends_at_i_max(self):
+        ladder = _RankLadder(AlrsConfig(r0=1, dr=1, tol=1e-3, i_max=3))
+        ends = [ladder.step(np.array([1.0 + k, 0.5])) for k in range(4)]
+        assert ends == [False, False, True, False]
+        assert [(h.i, h.r) for h in ladder.history] == [(1, 1), (2, 1), (3, 1), (1, 2)]
+
+    def test_values_recorded_up_to_available_rank(self):
+        ladder = _RankLadder(AlrsConfig(r0=4))
+        ladder.step(np.array([1.0, 0.5]))
+        assert len(ladder.history[0].values) == 2
+
+    def test_converges_on_tol(self):
+        ladder = _RankLadder(AlrsConfig(r0=2, tol=1e-3))
+        ladder.step(np.array([1.0, 0.5, 0.1]))
+        assert ladder.done(np.array([1.0, 0.5, 0.1])) is False
+        assert ladder.converged is False
+        assert ladder.done(np.array([1.0, 5e-4, 0.0])) is True
+        assert ladder.converged is True
+
+    def test_rank_deficient_product_converges(self):
+        # the r-th value of a product with fewer than r values is zero
+        ladder = _RankLadder(AlrsConfig(r0=3, tol=1e-3))
+        s = np.array([1.0, 0.5])
+        ladder.step(s)
+        assert ladder.done(s) is True
+        assert ladder.converged is True
+
+    def test_zero_top_value_converges(self):
+        ladder = _RankLadder(AlrsConfig(r0=2, tol=1e-3))
+        s = np.zeros(3)
+        ladder.step(s)
+        assert ladder.done(s) is True
+        assert ladder.converged is True
+
+    def test_k_max_stops_unconverged(self):
+        ladder = _RankLadder(AlrsConfig(r0=2, tol=1e-3, k_max=3))
+        stops = []
+        for k in range(3):
+            s = np.array([1.0, 0.5 - 0.1 * k, 0.1])
+            ladder.step(s)
+            stops.append(ladder.done(s))
+        assert stops == [False, False, True]
+        assert ladder.converged is False
+        assert len(ladder.history) == 3
 
 
 class TestAlrsLyap:

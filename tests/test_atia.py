@@ -164,15 +164,9 @@ class TestAtiaHsvCompare:
 
     def test_exact_estimates_give_zero_diff(self):
         from tibt.atia import AtiaResult
-        from tibt.system import SvReport
 
         m = tibt.illustrative4()
-        red = tibt.bt_square_root(m, 2)
-        result = AtiaResult(rom=red,
-                            hankel_estimates=SvReport(
-                                values=red.retained_sv.values.copy(),
-                                kind="hankel"),
-                            history=[], converged=True, iterations_used=0)
+        result = AtiaResult(rom=tibt.bt_square_root(m, 2))
         table = atia_hsv_compare(result, m)
         assert len(table) == 2
         assert max(row[3] for row in table) <= 1e-10

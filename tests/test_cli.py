@@ -66,6 +66,16 @@ class TestProducedOrder:
         err = capsys.readouterr().err
         assert err.startswith(f"warning: {task} produced order {len(hsv_rows)}")
 
+    def test_tsia_order_written_and_warned(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "illustrative4"},
+                           task="tsia", r=9, output_dir=str(out))
+        assert main(["run", cfg]) == 0
+        _, err_rows = read_csv(out / "errors.csv")
+        assert {row[2] for row in err_rows} == {"4"}
+        assert capsys.readouterr().err.startswith(
+            "warning: tsia produced order 4, not the requested r = 9")
+
     def test_unclamped_order_is_silent(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, model={"kind": "illustrative4"},
@@ -125,6 +135,41 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", [
+        {"task": "solve-lyap", "alg": {"r0": 2.5}},
+        {"task": "solve-lyap", "alg": {"dr": 1.5}},
+        {"task": "solve-lyap", "alg": {"k_max": 2.5}},
+        {"task": "solve-lyap", "alg": {"seed": 1.5}},
+        {"task": "atia-bt", "alg": {"seed": "x"}},
+        {"task": "atia-bt", "alg": {"seed": -1}},
+        {"task": "solve-lyap", "seed": "abc"},
+        {"task": "solve-lyap", "seed": -1},
+        {"task": "dense-bt", "r": 2.5},
+        {"task": "dense-bt", "r": True},
+        {"task": "tsia", "r": "3"},
+        {"task": "dense-bt", "r": 2, "model": {"kind": "heat_rod", "n": 50.7}},
+        {"task": "dense-bt", "r": 2, "model": {"kind": "heat_rod", "n": "50"}},
+        {"task": "dense-bt", "r": 2,
+         "model": {"kind": "random_stable", "n": 20, "m": 1, "p": 1, "seed": 0.5}},
+    ])
+    def test_non_integer_values_exit_one(self, tmp_path, capsys, body):
+        out = tmp_path / "out"
+        body = {"model": {"kind": "heat_rod", "n": 50}, **body}
+        cfg = write_config(tmp_path, output_dir=str(out), **body)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "illustrative4"},
+                           task="tsia", r=2, output_dir=str(out))
+        assert main(["run", cfg, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("extra", [

@@ -4,12 +4,14 @@ from conftest import TEST_POINTS, transfer_mismatch
 
 import tibt
 from tibt.errors import SingularValueTieError
-from tibt.linalg import solve_lyapunov_dense, solve_sylvester_skinny
+from tibt.linalg import ordered_svd, solve_lyapunov_dense, solve_sylvester_skinny
 from tibt.reducers import (
+    SCALE_CLIP_RTOL,
     bt_from_factors,
     h2_optimality_residuals,
     project,
     solve_coupling_pair,
+    square_root_pair,
 )
 
 
@@ -368,3 +370,40 @@ class TestBtFromFactors:
         red = bt_from_factors(m, eig_trunc(gram.P, 3), eig_trunc(gram.Q, 3), 2)
         naive_hsv = tibt.hankel_singular_values(red.rom).values
         assert np.allclose(naive_hsv, [72.9579, 8.3810], rtol=0, atol=1e-4)
+
+
+class TestSquareRootPair:
+    def test_drops_values_below_clip(self):
+        # the clip level is SCALE_CLIP_RTOL * s[0]: keep one value above it
+        s = np.array([2.0, 1e4 * 2.0 * SCALE_CLIP_RTOL, 0.5 * 2.0 * SCALE_CLIP_RTOL])
+        eye = np.eye(3)
+        vr, wr = square_root_pair(eye, eye, (eye, s, eye), 3)
+        assert vr.shape == wr.shape == (3, 2)
+        assert np.array_equal(vr, eye[:, :2] / np.sqrt(s[:2]))
+        assert np.array_equal(wr, vr)
+
+    def test_keeps_at_most_r(self):
+        eye = np.eye(3)
+        vr, wr = square_root_pair(eye, eye, (eye, np.array([3.0, 2.0, 1.0]), eye), 2)
+        assert vr.shape == wr.shape == (3, 2)
+
+    def test_zero_product_gives_empty_pair(self):
+        zp = np.zeros((5, 2))
+        vr, wr = square_root_pair(zp, zp, ordered_svd(zp.T @ zp), 2)
+        assert vr.shape == wr.shape == (5, 0)
+
+    def test_exact_factors_biorthonormal(self):
+        rng = np.random.default_rng(8)
+        zp = rng.standard_normal((30, 6))
+        zq = rng.standard_normal((30, 5))
+        vr, wr = square_root_pair(zp, zq, ordered_svd(zq.T @ zp), 4)
+        assert vr.shape == wr.shape == (30, 4)
+        assert np.linalg.norm(wr.T @ vr - np.eye(4), 2) <= 1e-12
+
+    def test_weighted_product_biorthonormal(self):
+        rng = np.random.default_rng(9)
+        zp = rng.standard_normal((6, 6))
+        zq = rng.standard_normal((6, 6))
+        e = np.eye(6) + 0.1 * rng.standard_normal((6, 6))
+        vr, wr = square_root_pair(zp, zq, ordered_svd(zq.T @ e @ zp), 6)
+        assert np.linalg.norm(wr.T @ e @ vr - np.eye(6), 2) <= 1e-10
