@@ -16,6 +16,15 @@ orthogonalized against it by block classical Gram-Schmidt with
 reorthogonalization, ``A`` is applied to the new columns only, and the
 projected matrix ``V^T A V`` is bordered rather than recomputed, so a sweep
 costs O(n k j) for a k-column basis and j new columns.
+
+The n-row data is allocated once per run: a stage reset keeps the buffers
+of ``V`` and ``A V``, which double only when a stage outgrows every earlier
+one, and new columns are formed in place in the spare columns of ``V``.
+The extension is blocked by row panels (:func:`~tibt.linalg.cgs2`,
+:func:`~tibt.linalg.extend_orthonormal`): the Gram-Schmidt passes share
+their reads of ``V``, the rank-revealing pivoted QR runs on the small stack
+of panel R factors (TSQR) instead of the n-row remainder, and the kept
+columns are formed from that R factor in a few panel passes.
 """
 
 from __future__ import annotations
@@ -202,17 +211,18 @@ def lowrank_lyapunov_residual(a, b, factor: LowRankGramian) -> float:
 
     With ``U1 = A V C`` the residual is ``G H^T`` for ``G = [U1, V, B]`` and
     ``H = [V, U1, B]``, which share their columns. The orthonormal ``V`` is
-    extended by :func:`cgs2` of ``[U1, B]`` and one thin QR of the
-    remainder, so both ``G`` and ``H`` have exact coefficients ``Rg``, ``Rh``
-    in one small basis and the residual is ``||Rg Rh^T||_2``.
+    extended by :func:`cgs2` of ``[U1, B]`` and the R factor of the
+    remainder, taken from the panel R factors :func:`cgs2` returns, so both
+    ``G`` and ``H`` have exact coefficients ``Rg``, ``Rh`` in one small
+    basis and the residual is ``||Rg Rh^T||_2``.
     """
     op = as_operator(a)
     b = np.atleast_2d(np.asarray(b, dtype=float))
     v = factor.basis
     k = v.shape[1]
     u1 = op.apply(v @ factor.core)
-    c, rem = cgs2(v, np.hstack([u1, b]))
-    r2 = np.linalg.qr(rem, mode="r")
+    c, _, rs = cgs2(v, np.hstack([u1, b]))
+    r2 = np.linalg.qr(rs, mode="r")
     cu, cb = c[:, :k], c[:, k:]
     r2u, r2b = r2[:, :k], r2[:, k:]
     eye = np.eye(k)
@@ -226,29 +236,33 @@ def lowrank_lyapunov_residual(a, b, factor: LowRankGramian) -> float:
     return float(num / den)
 
 
-def _append_columns(buf, k, cols):
-    """Write ``cols`` after the first ``k`` columns of the Fortran-ordered
-    ``buf``, doubling its capacity when full. Unwritten columns of a
-    Fortran-ordered array are never touched, so spare capacity costs address
-    space, not resident memory."""
-    j = cols.shape[1]
-    if k + j > buf.shape[1]:
-        grown = np.empty((buf.shape[0], max(2 * buf.shape[1], k + j)), order="F")
-        grown[:, :k] = buf[:, :k]
-        buf = grown
-    buf[:, k:k + j] = cols
-    return buf
+def _reserve(buf, k, j):
+    """The Fortran-ordered ``buf`` with room for ``k + j`` columns: ``buf``
+    itself, or a copy of its first ``k`` columns with at least double the
+    capacity. Unwritten columns of a Fortran-ordered array are never
+    touched, so spare capacity costs address space, not resident memory."""
+    if k + j <= buf.shape[1]:
+        return buf
+    grown = np.empty((buf.shape[0], max(2 * buf.shape[1], k + j)), order="F")
+    grown[:, :k] = buf[:, :k]
+    return grown
 
 
 class _Basis:
     """Orthonormal trial basis ``V`` of one stage, grown append-only, with
     ``A V``, ``V^T A V`` and ``V^T B`` kept in step: adding j columns to a
     k-column basis costs O(n k j), and A is applied to the new columns only.
+    One instance serves a whole run: :meth:`reset` empties it for the next
+    stage but keeps the buffers of ``V`` and ``A V``, which grow only when a
+    stage outgrows every earlier one.
     """
 
     def __init__(self, n, m):
         self._v = np.empty((n, 0), order="F")
         self._av = np.empty((n, 0), order="F")
+        self.reset(m)
+
+    def reset(self, m):
         self.k = 0
         self.ak = np.zeros((0, 0))
         self.bk = np.zeros((0, m))
@@ -260,14 +274,17 @@ class _Basis:
     def extend(self, op, b, new):
         """Absorb the directions of ``new`` not yet in the span of ``V``,
         bordering ``V^T A V`` with the two off-diagonal blocks and the new
-        diagonal block."""
-        v, av = self.v, self._av[:, :self.k]
-        q = extend_orthonormal(v, new)
+        diagonal block. The new columns are formed in place in the spare
+        columns of the ``V`` buffer."""
+        k, j = self.k, new.shape[1]
+        self._v = _reserve(self._v, k, j)
+        self._av = _reserve(self._av, k, j)
+        v, av = self._v[:, :k], self._av[:, :k]
+        q = extend_orthonormal(v, new, out=self._v[:, k:k + j])
         aq = op.apply(q)
         self.ak = np.block([[self.ak, v.T @ aq], [q.T @ av, q.T @ aq]])
         self.bk = np.vstack([self.bk, q.T @ b])
-        self._v = _append_columns(self._v, self.k, q)
-        self._av = _append_columns(self._av, self.k, aq)
+        self._av[:, k:k + q.shape[1]] = aq
         self.k += q.shape[1]
 
 
@@ -282,7 +299,8 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
 
     ``on_iteration``, when given, is called once per sweep with
     ``(record, basis, new_directions)`` for diagnostics; it must not mutate
-    its arguments.
+    its arguments. ``basis`` is a view of the run's basis buffer, which
+    later stages overwrite, so a hook that keeps it must copy it.
 
     Raises
     ------
@@ -322,7 +340,7 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
             break
         if stage_done:
             # the next stage starts from the latest interpolation data alone
-            basis = _Basis(op.n, m)
+            basis.reset(m)
             basis.extend(op, b, phat)
 
     pr = solve_lyapunov_dense(ar, br @ br.T) if ar.shape[0] else np.zeros((0, 0))

@@ -104,6 +104,11 @@ def load_config(path) -> dict:
         if not _is_integer(model[key]):
             raise ConfigError(
                 f"{path}: model {key!r} must be an integer, got {model[key]!r}")
+    # open() would take an integer as a file descriptor
+    for key in sorted(model.keys() & {"a_path", "b_path", "c_path"}):
+        if not isinstance(model[key], str):
+            raise ConfigError(
+                f"{path}: model {key!r} must be a string, got {model[key]!r}")
     return raw
 
 
@@ -131,6 +136,9 @@ def build_model(cfg, seed):
                                              model["c_path"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model {kind}: {exc}") from exc
+    except OSError as exc:  # a missing or unreadable Matrix Market file
+        where = f"{exc.filename}: " if exc.filename else ""
+        raise ConfigError(f"model {kind}: {where}{exc.strerror or exc}") from exc
 
 
 def _alg_config(cfg, seed, tol=None):
@@ -296,6 +304,22 @@ def run_task(cfg, seed, out_dir):
     return code
 
 
+def _blas_setup():
+    """The BLAS/LAPACK build entries of numpy, plus the live thread pools
+    when threadpoolctl is installed."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        deps = {}
+    setup = {key: deps[key] for key in ("blas", "lapack") if key in deps}
+    try:
+        from threadpoolctl import threadpool_info
+    except ImportError:
+        return setup
+    setup["threadpools"] = threadpool_info()
+    return setup
+
+
 def _limit_threads():
     try:
         from threadpoolctl import threadpool_limits
@@ -339,6 +363,7 @@ def main(argv=None) -> int:
             "deterministic": bool(args.deterministic),
             # False when pinning was asked for but threadpoolctl is missing
             "threads_pinned": limiter is not None,
+            "blas": _blas_setup(),
             "wall_clock_sec": time.monotonic() - started,
             "exit_code": code,
         }

@@ -41,6 +41,11 @@ __all__ = [
 # largest input column norm are considered linearly dependent.
 ORTH_DROP_RTOL = 1e-12
 
+# Rows per panel in the row-blocked passes over n-row data (tridiagonal
+# products, :func:`cgs2`, :func:`extend_orthonormal`): a panel stays in
+# cache between the operations that share it.
+PANEL_ROWS = 4096
+
 # Eigenvalues of a PSD matrix below this fraction of the largest one are
 # clipped to zero when factoring.
 PSD_CLIP_RTOL = 1e-14
@@ -167,13 +172,28 @@ class TridiagonalOperator(LinearOperator):
         return self._d.shape[0]
 
     def _matvec(self, lo, d, up, x):
+        # y = d x, then y[:-1] += up x[1:], then y[1:] += lo x[:-1], run
+        # panel by panel through one temporary: every entry sees the same
+        # operations in the same order as the whole-array form, and each
+        # panel stays in cache between them
         vec = x.ndim == 1
         if vec:
             x = x[:, None]
-        y = d[:, None] * x
-        if self.n > 1:
-            y[:-1] += up[:, None] * x[1:]
-            y[1:] += lo[:, None] * x[:-1]
+        n = self.n
+        y = np.empty_like(x, dtype=np.result_type(d, x))
+        tmp = np.empty_like(y[:PANEL_ROWS])
+        for rows in _panels(n):
+            start, stop = rows.start, rows.stop
+            yp = y[rows]
+            np.multiply(d[rows, None], x[rows], out=yp)
+            hi = min(stop, n - 1)  # rows below hi have a superdiagonal entry
+            if hi > start:
+                yp[:hi - start] += np.multiply(up[start:hi, None], x[start + 1:hi + 1],
+                                               out=tmp[:hi - start])
+            low = max(start, 1)  # rows from low on have a subdiagonal entry
+            if stop > low:
+                yp[low - start:] += np.multiply(lo[low - 1:stop - 1, None],
+                                                x[low - 1:stop - 1], out=tmp[:stop - low])
         return y[:, 0] if vec else y
 
     def apply(self, x):
@@ -189,7 +209,8 @@ class TridiagonalOperator(LinearOperator):
         dtype = float if real else complex
         vec = b.ndim == 1
         rhs = np.array(b[:, None] if vec else b, dtype=dtype, order="F")
-        d = (self._d - (s.real if real else s)).astype(dtype)
+        # a fresh array already, which gtsv may overwrite
+        d = (self._d - (s.real if real else s)).astype(dtype, copy=False)
         if self.n == 1:
             if d[0] == 0:
                 raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
@@ -206,6 +227,24 @@ class TridiagonalOperator(LinearOperator):
         _check_solution_finite(x)
         return x[:, 0] if vec else x
 
+    def real_spectrum_max(self):
+        """Largest eigenvalue when every product ``lower[i] * upper[i]`` is
+        >= 0, else None.
+
+        Such an operator has the spectrum of the symmetric tridiagonal with
+        off-diagonal ``sqrt(lower * upper)``: it is similar to it where the
+        products are positive and block triangular where they vanish. The
+        spectrum is therefore real, and its top costs O(n).
+        """
+        if self.n == 1:
+            return float(self._d[0])
+        prod = self._lo * self._up
+        if not (np.all(prod >= 0.0) and np.all(np.isfinite(prod))):
+            return None
+        top = sla.eigvalsh_tridiagonal(self._d, np.sqrt(prod), select="i",
+                                       select_range=(self.n - 1, self.n - 1))
+        return float(top[0])
+
     def transpose(self):
         return TridiagonalOperator(self._up, self._d, self._lo,
                                    known_hurwitz=self.known_hurwitz)
@@ -218,6 +257,11 @@ class TridiagonalOperator(LinearOperator):
         if self.n > 1:
             a += np.diag(self._lo, -1) + np.diag(self._up, 1)
         return a
+
+
+def _panels(n):
+    """Row slices of at most ``PANEL_ROWS`` rows that cover ``range(n)``."""
+    return [slice(lo, min(lo + PANEL_ROWS, n)) for lo in range(0, n, PANEL_ROWS)]
 
 
 def as_operator(a) -> LinearOperator:
@@ -404,32 +448,60 @@ def orthonormalize(m):
     return np.ascontiguousarray(q[:, :kept])
 
 
-def cgs2(q, x):
+def cgs2(q, x, out=None):
     """Project ``x`` off the span of orthonormal ``q`` by block classical
     Gram-Schmidt with one reorthogonalization pass ("twice is enough").
 
-    Returns ``(c, y)`` with ``x = q @ c + y`` and ``q.T @ y`` at round-off
-    level relative to ``x``. Costs two n-by-k-by-j products per pass.
+    Returns ``(c, y, rs)`` with ``x = q @ c + y``, ``q.T @ y`` at round-off
+    level relative to ``x``, and ``rs`` the row-stacked R factors of the
+    ``PANEL_ROWS``-row panels of ``y``. As ``y = blockdiag(Q_p) @ rs`` with
+    orthonormal panel factors ``Q_p``, a QR of the small ``rs`` yields the
+    R factor of ``y`` (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J.
+    Sci. Comput. 2012). The passes run panel by panel: the first projection
+    shares its read of ``q`` with the second set of coefficients, and the
+    second projection shares its read with the panel QRs, so ``q`` is read
+    three times. ``y`` is Fortran-ordered, or is ``out`` when given (an
+    n-by-j array that overlaps neither ``q`` nor ``x``).
     """
+    n, j = x.shape
     c = q.T @ x
-    y = x - q @ c
-    c2 = q.T @ y
-    y -= q @ c2
-    return c + c2, y
+    c2 = np.zeros_like(c)
+    y = np.empty((n, j), order="F") if out is None else out
+    tmp = np.empty((min(n, PANEL_ROWS), j))
+    panels = _panels(n)
+    for rows in panels:
+        qp, yp = q[rows], y[rows]
+        np.subtract(x[rows], np.matmul(qp, c, out=tmp[:len(yp)]), out=yp)
+        c2 += qp.T @ yp
+    geqrf = sla.get_lapack_funcs("geqrf", (y,))
+    rs = []
+    for rows in panels:
+        qp, yp = q[rows], y[rows]
+        yp -= np.matmul(qp, c2, out=tmp[:len(yp)])
+        rs.append(np.triu(geqrf(yp)[0][:j]))
+    return c + c2, y, np.vstack(rs)
 
 
-def extend_orthonormal(q, new):
+def extend_orthonormal(q, new, out=None):
     """Orthonormal columns that extend orthonormal ``q`` (n-by-k) to a basis
     of the numerical range of ``[q, new]``; ``q`` itself is never changed.
 
-    ``new`` is projected off ``q`` by :func:`cgs2`, then the remainder goes
-    through a column-pivoted QR with the :func:`orthonormalize` drop rule,
-    measured against the largest column norm of ``[q, new]`` (the columns
-    of ``q`` have unit norm). The kept columns get one more projection off
-    ``q`` and a Cholesky-QR pass: a remainder just above the drop threshold
-    would otherwise lose orthogonality to ``q`` in proportion to how much it
-    shrank. Costs O(n k j + n j^2) for j new columns, independent of how
-    the basis was built. The result is Fortran-ordered.
+    ``new`` is projected off ``q`` by :func:`cgs2`. The pivoted QR with the
+    :func:`orthonormalize` drop rule, measured against the largest column
+    norm of ``[q, new]`` (the columns of ``q`` have unit norm), runs on the
+    small stack of panel R factors that :func:`cgs2` returns, which has the
+    R factor of the remainder. The kept columns ``rem[:, perm] @ inv(R11)``
+    get one more projection off ``q`` and a Cholesky-QR pass: that product
+    loses orthogonality in proportion to the condition of ``R11``, and a
+    remainder just above the drop threshold would lose orthogonality to
+    ``q`` in proportion to how much it shrank. Three panel passes form the
+    product with the projection coefficients, then the projection with the
+    Gram matrix, then the Cholesky-QR product, all in the storage of the
+    remainder: ``out`` when given (an n-by-j Fortran-ordered array that
+    overlaps neither input, such as the spare columns of a basis buffer),
+    so the result is its leading columns. Costs O(n k j + n j^2) for j new
+    columns, independent of how the basis was built. The result is
+    Fortran-ordered.
     """
     q = np.asarray(q, dtype=float)
     new = np.asarray(new, dtype=float)
@@ -439,26 +511,48 @@ def extend_orthonormal(q, new):
     n, k = q.shape
     if n < 1:
         raise ValueError("row dimension must be >= 1")
-    if new.shape[1] == 0:
+    j = new.shape[1]
+    if j == 0:
         return np.zeros((n, 0))
     max_col = max(np.max(np.sqrt(np.einsum("ij,ij->j", new, new))),
                   1.0 if k else 0.0)
     with np.errstate(invalid="ignore", over="ignore"):
-        _, rem = cgs2(q, new)
-    # a non-finite q or new shows up in the remainder
-    if not np.all(np.isfinite(rem)):
+        c, rem, rs = cgs2(q, new, out)
+    # a non-finite new shows up in max_col, a non-finite q in c
+    if not (np.isfinite(max_col) and np.all(np.isfinite(c))
+            and np.all(np.isfinite(rs))):
         raise ValueError("input contains non-finite entries")
     if max_col == 0.0:
         return np.zeros((n, 0))
-    qr_rem, r, _ = sla.qr(rem, mode="economic", pivoting=True)
+    r, perm = sla.qr(rs, mode="r", pivoting=True)
+    # pivoting makes |diag(R)| non-increasing, so the kept set is a prefix
     kept = int(np.sum(np.abs(np.diag(r)) > ORTH_DROP_RTOL * max_col))
-    ext = qr_rem[:, :kept]
-    if kept == 0 or k == 0:
-        return ext
-    ext -= q @ (q.T @ ext)
-    chol = np.linalg.cholesky(ext.T @ ext)
-    # ext @ inv(chol).T, formed transposed to stay Fortran-ordered
-    return (sla.solve_triangular(chol, np.eye(kept), lower=True) @ ext.T).T
+    if kept == 0:
+        return np.zeros((n, 0))
+    coef = np.zeros((j, kept))
+    coef[perm[:kept]] = sla.solve_triangular(r[:kept, :kept], np.eye(kept))
+    ext = rem[:, :kept]
+    tmp = np.empty((min(n, PANEL_ROWS), kept))
+    panels = _panels(n)
+    w = np.zeros((k, kept))
+    for rows in panels:
+        rp = rem[rows]
+        # formed aside, as it reads the columns it replaces
+        ep = np.matmul(rp, coef, out=tmp[:len(rp)])
+        ext[rows] = ep
+        w += q[rows].T @ ep
+    gram = np.zeros((kept, kept))
+    for rows in panels:
+        ep = ext[rows]
+        ep -= np.matmul(q[rows], w, out=tmp[:len(ep)])
+        gram += ep.T @ ep
+    # ext @ inv(chol).T, in place
+    chol = np.linalg.cholesky(gram)
+    right = sla.solve_triangular(chol, np.eye(kept), lower=True).T
+    for rows in panels:
+        ep = ext[rows]
+        ep[...] = np.matmul(ep, right, out=tmp[:len(ep)])
+    return ext
 
 
 @dataclass(frozen=True)

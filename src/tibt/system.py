@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHurwitzError, RepeatedPolesError
+from .errors import DenseInfeasibleError, NonHurwitzError, RepeatedPolesError
 from .linalg import (
     LinearOperator,
+    TridiagonalOperator,
     as_operator,
     ordered_svd,
     psd_factor,
@@ -175,13 +176,31 @@ def is_hurwitz(model_or_operator) -> bool:
     """True iff all eigenvalues of A have strictly negative real part.
 
     Operators constructed with a structural stability guarantee short-circuit
-    through ``known_hurwitz``; otherwise the dense spectrum is examined.
+    through ``known_hurwitz``. A tridiagonal operator with a real spectrum
+    (see :meth:`~tibt.linalg.TridiagonalOperator.real_spectrum_max`) is
+    checked in O(n); otherwise the dense spectrum is examined.
+
+    Raises
+    ------
+    DenseInfeasibleError
+        If the operator is too large to densify and no cheaper test
+        applies.
     """
     op = model_or_operator.A if isinstance(model_or_operator, StateSpaceModel) \
         else as_operator(model_or_operator)
     if op.known_hurwitz is not None:
         return bool(op.known_hurwitz)
-    lam = np.linalg.eigvals(op.to_dense())
+    if isinstance(op, TridiagonalOperator):
+        top = op.real_spectrum_max()
+        if top is not None:
+            return top < 0.0
+    try:
+        a = op.to_dense()
+    except MemoryError as exc:
+        raise DenseInfeasibleError(
+            f"cannot check that the {op.n}x{op.n} operator is Hurwitz without "
+            f"densifying it; construct it with known_hurwitz") from exc
+    lam = np.linalg.eigvals(a)
     return bool(np.max(lam.real) < 0.0)
 
 

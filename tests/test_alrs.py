@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import max_principal_angle, two_qr_lyapunov_residual
 
 import tibt
+import tibt.alrs
 from tibt.alrs import AlrsConfig, _RankLadder, lowrank_lyapunov_residual, padded_change
 from tibt.errors import NonHurwitzError
 
@@ -155,6 +158,27 @@ class TestAlrsLyap:
                        on_iteration=probe)
         assert any(dropped)
         assert max(orth) <= 1e-12
+
+    def test_one_basis_allocation_per_run(self, monkeypatch):
+        # stage resets keep the buffers of V and A V, so each regrows only
+        # when a stage outgrows every earlier one (criterion-9 config)
+        calls = []
+        reserve = tibt.alrs._reserve
+
+        def counting(buf, k, j):
+            out = reserve(buf, k, j)
+            calls.append((out is not buf, k + j))
+            return out
+
+        monkeypatch.setattr(tibt.alrs, "_reserve", counting)
+        m = tibt.heat_rod(3000)
+        res = tibt.alrs_lyap(m.A, m.B, AlrsConfig(r0=2, dr=2, tol=1e-4, i_max=3,
+                                                  k_max=21, seed=0))
+        assert res.converged
+        assert sum(rec.i == 1 for rec in res.singular_history) >= 4  # stages
+        bound = math.ceil(math.log2(max(width for _, width in calls))) + 1
+        for buffer_calls in (calls[0::2], calls[1::2]):  # V, then A V
+            assert sum(grew for grew, _ in buffer_calls) <= bound
 
     def test_basis_is_orthonormal_and_core_psd(self):
         m = tibt.heat_rod(300)

@@ -1,8 +1,10 @@
 import importlib.util
 import json
 
+import numpy as np
 import pytest
 
+import tibt
 import tibt.system
 from tibt.cli import main
 
@@ -203,6 +205,50 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("missing", ["a", "c"])
+    def test_missing_matrix_market_file_exits_one(self, tmp_path, capsys, missing):
+        paths = {}
+        for name, matrix in (("a", [[-1.0, 0.0], [0.0, -2.0]]), ("b", [[1.0], [1.0]]),
+                             ("c", [[1.0, 1.0]])):
+            paths[f"{name}_path"] = str(tmp_path / f"{name}.mtx")
+            if name != missing:
+                tibt.save_matrix_market(paths[f"{name}_path"], matrix)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "matrix_market", **paths},
+                           task="dense-bt", r=1, output_dir=str(out))
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{missing}.mtx" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unreadable_matrix_market_path_exits_one(self, tmp_path, capsys):
+        (tmp_path / "a.mtx").mkdir()
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, output_dir=str(out), task="dense-bt", r=1,
+                           model={"kind": "matrix_market", "a_path": str(tmp_path / "a.mtx"),
+                                  "b_path": "b.mtx", "c_path": "c.mtx"})
+        assert main(["run", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["a_path", "b_path", "c_path"])
+    @pytest.mark.parametrize("value", [12345, None, ["a.mtx"]])
+    def test_non_string_matrix_market_path_rejected(self, tmp_path, capsys, monkeypatch,
+                                                    key, value):
+        def no_model(*args):
+            raise AssertionError("model built from a bad config")
+
+        monkeypatch.setattr("tibt.cli.build_model", no_model)
+        model = {"kind": "matrix_market", "a_path": "a.mtx", "b_path": "b.mtx",
+                 "c_path": "c.mtx", key: value}
+        cfg = write_config(tmp_path, model=model, task="dense-bt", r=1)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert repr(key) in err and "string" in err
+
     def test_compare_command_requires_compare_task(self, tmp_path):
         cfg = write_config(tmp_path, model={"kind": "illustrative4"},
                            task="dense-bt", r=2)
@@ -348,6 +394,20 @@ class TestReproducibility:
         assert run_echo["deterministic"] is flag
         pinnable = importlib.util.find_spec("threadpoolctl") is not None
         assert run_echo["threads_pinned"] is (flag and pinnable)
+
+    def test_blas_setup_recorded(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "illustrative4"},
+                           task="dense-bt", r=2, output_dir=str(out))
+        assert main(["run", cfg]) == 0
+        blas = json.loads((out / "run.json").read_text())["blas"]
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        assert blas["blas"] == deps["blas"]
+        assert blas["lapack"] == deps["lapack"]
+        if importlib.util.find_spec("threadpoolctl") is None:
+            assert "threadpools" not in blas
+        else:
+            assert isinstance(blas["threadpools"], list)
 
     def test_seed_override_recorded_and_applied(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from conftest import kron_lyapunov, kron_sylvester, max_principal_angle
 
 from tibt.errors import (
@@ -10,8 +11,11 @@ from tibt.errors import (
     SpectrumOverlapError,
 )
 from tibt.linalg import (
+    ORTH_DROP_RTOL,
+    PANEL_ROWS,
     DenseOperator,
     TridiagonalOperator,
+    cgs2,
     extend_orthonormal,
     ordered_svd,
     orthonormalize,
@@ -271,6 +275,83 @@ class TestExtendOrthonormal:
         with pytest.raises(ValueError):
             extend_orthonormal(np.zeros((5, 1)), np.ones((4, 1)))
 
+    # below one panel, exactly one, one row past (a last panel with fewer
+    # rows than columns), and several panels with a short last one
+    PANEL_SIZES = [PANEL_ROWS - 1, PANEL_ROWS, PANEL_ROWS + 1, 3 * PANEL_ROWS + 17]
+
+    @pytest.mark.parametrize("n", PANEL_SIZES)
+    def test_panel_boundaries(self, n):
+        rng = np.random.default_rng(80)
+        q = orthonormal_columns(n, 6, 81)
+        fresh = rng.standard_normal((n, 3))
+        new = np.hstack([fresh, q @ rng.standard_normal((6, 2)),
+                         fresh @ rng.standard_normal((3, 1))])
+        ext = extend_orthonormal(q, new)
+        assert ext.shape == (n, 3)
+        assert ext.flags.f_contiguous
+        full = np.hstack([q, ext])
+        assert np.linalg.norm(full.T @ full - np.eye(9), 2) <= 1e-12
+        assert np.linalg.norm(new - full @ (full.T @ new)) <= 1e-12 * np.linalg.norm(new)
+
+    @pytest.mark.parametrize("n", [PANEL_ROWS - 1, 3 * PANEL_ROWS + 17])
+    def test_near_threshold_kept_count_matches_pivoted_qr(self, n):
+        # remainders 10x and 3x above the drop threshold are kept, one at
+        # 0.1x is dropped, exactly as a pivoted QR of the whole remainder
+        rng = np.random.default_rng(82)
+        q = orthonormal_columns(n, 8, 83)
+        base = rng.standard_normal((n, 1))
+        max_col = np.linalg.norm(base)
+        tau = ORTH_DROP_RTOL * max_col
+
+        def off_q(scale):
+            z = rng.standard_normal((n, 1))
+            z -= q @ (q.T @ z)
+            return scale * tau * z / np.linalg.norm(z)
+
+        inside = q @ rng.standard_normal((8, 2))
+        inside *= 0.5 * max_col / np.linalg.norm(inside, axis=0)
+        new = np.hstack([base, inside[:, :1] + off_q(10.0), base + off_q(3.0),
+                         inside[:, 1:] + off_q(0.1)])
+        _, rem, _ = cgs2(q, new)
+        _, r, _ = sla.qr(rem, mode="economic", pivoting=True)
+        expected = int(np.sum(np.abs(np.diag(r)) > ORTH_DROP_RTOL * max_col))
+        ext = extend_orthonormal(q, new)
+        assert ext.shape[1] == expected == 3
+        full = np.hstack([q, ext])
+        assert np.linalg.norm(full.T @ full - np.eye(11), 2) <= 1e-12
+
+
+    def test_result_formed_in_out(self):
+        # the spare columns of a Fortran-ordered buffer hold the result
+        rng = np.random.default_rng(86)
+        buf = np.empty((PANEL_ROWS + 9, 10), order="F")
+        buf[:, :3] = orthonormal_columns(PANEL_ROWS + 9, 3, 87)
+        new = rng.standard_normal((PANEL_ROWS + 9, 4))
+        ext = extend_orthonormal(buf[:, :3], new, out=buf[:, 3:7])
+        assert ext.shape == (PANEL_ROWS + 9, 4)
+        assert np.shares_memory(ext, buf[:, 3:7])
+        assert np.allclose(ext, extend_orthonormal(buf[:, :3], new), rtol=0, atol=1e-13)
+        full = buf[:, :7]
+        assert np.linalg.norm(full.T @ full - np.eye(7), 2) <= 1e-12
+
+
+class TestCgs2:
+    @pytest.mark.parametrize("n", [7, PANEL_ROWS + 1, 2 * PANEL_ROWS + 300])
+    def test_projection_and_panel_r_factors(self, n):
+        rng = np.random.default_rng(84)
+        q = orthonormal_columns(n, 5, 85)
+        x = q @ rng.standard_normal((5, 4)) + rng.standard_normal((n, 4))
+        c, y, rs = cgs2(q, x)
+        assert np.linalg.norm(x - q @ c - y) <= 1e-13 * np.linalg.norm(x)
+        assert np.linalg.norm(q.T @ y) <= 1e-13 * np.linalg.norm(x)
+        # the stacked panel factors have the R factor of y
+        assert rs.shape[1] == 4
+        assert np.allclose(np.tril(rs[:4], -1), 0.0)
+        r_rs = np.linalg.qr(rs, mode="r")
+        r_y = np.linalg.qr(y, mode="r")
+        signs = np.sign(np.diag(r_rs)) * np.sign(np.diag(r_y))
+        assert np.linalg.norm(signs[:, None] * r_rs - r_y) <= 1e-13 * np.linalg.norm(r_y)
+
 
 class TestPsdFactor:
     def test_identity(self):
@@ -324,6 +405,64 @@ class TestOrderedSvd:
         for i in range(5):
             assert np.linalg.norm(m @ v[:, i] - s[i] * u[:, i]) <= 1e-12 * s[0]
         assert np.linalg.norm(u @ np.diag(s) @ v.T - m) <= 1e-12 * np.linalg.norm(m)
+
+
+def three_term(lower, diag, upper, x):
+    """Tridiagonal product in the reference operation order: ``d x``, then
+    ``+ up x[1:]``, then ``+ lo x[:-1]``."""
+    vec = x.ndim == 1
+    if vec:
+        x = x[:, None]
+    y = diag[:, None] * x
+    if len(diag) > 1:
+        y[:-1] += upper[:, None] * x[1:]
+        y[1:] += lower[:, None] * x[:-1]
+    return y[:, 0] if vec else y
+
+
+class TestTridiagonalBitIdentity:
+    """The tridiagonal kernels are shared by both adaptive drivers, so their
+    results are pinned bitwise (``==``), not to a tolerance."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, PANEL_ROWS, 2 * PANEL_ROWS + 3])
+    def test_apply_matches_three_term_formula(self, n):
+        rng = np.random.default_rng(90)
+        lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+        diag = rng.standard_normal(n)
+        op = TridiagonalOperator(lower, diag, upper)
+        block = rng.standard_normal((n, 3))
+        for x in (rng.standard_normal(n), block, np.asfortranarray(block)):
+            got = op.apply(x)
+            want = three_term(lower, diag, upper, x)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+            assert np.array_equal(op.apply_transpose(x), three_term(upper, diag, lower, x))
+
+    @pytest.mark.parametrize("s", [0.3, -1.7, 0.5 + 2.0j])
+    @pytest.mark.parametrize("shape", [(40,), (40, 3)])
+    def test_shifted_solve_matches_gtsv(self, s, shape):
+        rng = np.random.default_rng(91)
+        n = shape[0]
+        lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+        diag = rng.standard_normal(n) - 4.0
+        b = rng.standard_normal(shape)
+        dtype = complex if isinstance(s, complex) else float
+        rhs = np.array(b.reshape(n, -1), dtype=dtype, order="F")
+        gtsv = sla.get_lapack_funcs("gtsv", (rhs,))
+        _, _, _, want, info = gtsv(lower.astype(dtype), (diag - s).astype(dtype),
+                                   upper.astype(dtype), rhs)
+        assert info == 0
+        got = TridiagonalOperator(lower, diag, upper).shifted_solve(s, b)
+        assert got.shape == shape
+        assert np.array_equal(got, want.reshape(shape))
+
+    def test_shifted_solve_leaves_operator_unchanged(self):
+        op = TridiagonalOperator([1.0, 2.0], [-4.0, -5.0, -6.0], [3.0, 0.5])
+        before = op.to_dense()
+        op.shifted_solve(0.7, np.ones(3))
+        op.shifted_solve(0.7 + 1.0j, np.ones(3))
+        assert np.array_equal(op.to_dense(), before)
 
 
 class TestOperators:

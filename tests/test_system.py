@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import tibt
-from tibt.errors import RepeatedPolesError
+from tibt.errors import RepeatedPolesError, TibtError
+from tibt.linalg import TridiagonalOperator
 
 
 def scalar_model():
@@ -160,6 +161,67 @@ class TestIsHurwitz:
     def test_structural_flag_short_circuit(self):
         model = tibt.heat_rod(10**5)
         assert tibt.is_hurwitz(model)
+
+    @staticmethod
+    def _no_densify(monkeypatch):
+        def refuse(self):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(TridiagonalOperator, "to_dense", refuse)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 30_000])
+    def test_tridiagonal_with_real_spectrum_stable(self, monkeypatch, n):
+        # lower != upper, but every product is positive: similar to a
+        # symmetric tridiagonal with off-diagonal 1 and top eigenvalue
+        # -2.1 + 2 cos(pi / (n + 1)) < 0
+        op = TridiagonalOperator(np.full(n - 1, 4.0), np.full(n, -2.1),
+                                 np.full(n - 1, 0.25))
+        self._no_densify(monkeypatch)
+        assert tibt.is_hurwitz(op)
+
+    @pytest.mark.parametrize("n", [50, 30_000])
+    def test_tridiagonal_with_real_spectrum_shifted_unstable(self, monkeypatch, n):
+        # the same operator shifted right by 0.2 has top eigenvalue ~ +0.1
+        op = TridiagonalOperator(np.full(n - 1, 4.0), np.full(n, -1.9),
+                                 np.full(n - 1, 0.25))
+        self._no_densify(monkeypatch)
+        assert not tibt.is_hurwitz(op)
+
+    def test_tridiagonal_zero_products_decouple(self, monkeypatch):
+        # zero off-diagonal products leave a block-triangular matrix whose
+        # spectrum is the union of its diagonal blocks
+        op = TridiagonalOperator([5.0, 0.0, 1.0], [-1.0, -2.0, 0.5, -3.0],
+                                 [0.0, 7.0, 1.0])
+        assert tibt.is_hurwitz(op) is bool(
+            np.max(np.linalg.eigvals(op.to_dense()).real) < 0.0)
+        self._no_densify(monkeypatch)
+        assert not tibt.is_hurwitz(op)
+
+    def test_tridiagonal_agrees_with_dense_spectrum(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            lower, upper = rng.random(n - 1), rng.random(n - 1)
+            diag = rng.standard_normal(n) - 1.5
+            op = TridiagonalOperator(lower, diag, upper)
+            dense = bool(np.max(np.linalg.eigvals(op.to_dense()).real) < 0.0)
+            assert tibt.is_hurwitz(op) is dense
+
+    def test_small_negative_products_use_dense_spectrum(self):
+        # lower * upper < 0: a rotation-like coupling with complex
+        # eigenvalues -1 +- 2i
+        op = TridiagonalOperator([-2.0], [-1.0, -1.0], [2.0])
+        assert tibt.is_hurwitz(op)
+
+    def test_large_negative_products_need_known_hurwitz(self):
+        n = 30_000
+        op = TridiagonalOperator(np.full(n - 1, -1.0), np.full(n, -3.0),
+                                 np.full(n - 1, 1.0))
+        with pytest.raises(TibtError, match="known_hurwitz"):
+            tibt.is_hurwitz(op)
+        assert tibt.is_hurwitz(TridiagonalOperator(
+            np.full(n - 1, -1.0), np.full(n, -3.0), np.full(n - 1, 1.0),
+            known_hurwitz=True))
 
 
 class TestStateSpaceModel:
