@@ -20,7 +20,6 @@ from .benchmarks import (
 from .errors import (
     DenseInfeasibleError,
     DimensionMismatchError,
-    EmptyInputError,
     InterimUnstableError,
     NonHurwitzError,
     NotSymmetricError,

@@ -218,9 +218,12 @@ def lowrank_lyapunov_residual(a, b, factor: LowRankGramian) -> float:
     """
     op = as_operator(a)
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    v = factor.basis
+    return _factored_residual(factor.basis, op.apply(factor.basis @ factor.core), b)
+
+
+def _factored_residual(v, u1, b):
+    """:func:`lowrank_lyapunov_residual` of ``V C V^T`` given ``U1 = A V C``."""
     k = v.shape[1]
-    u1 = op.apply(v @ factor.core)
     c, _, rs = cgs2(v, np.hstack([u1, b]))
     r2 = np.linalg.qr(rs, mode="r")
     cu, cb = c[:, :k], c[:, k:]
@@ -250,28 +253,38 @@ def _reserve(buf, k, j):
 
 class _Basis:
     """Orthonormal trial basis ``V`` of one stage, grown append-only, with
-    ``A V``, ``V^T A V`` and ``V^T B`` kept in step: adding j columns to a
-    k-column basis costs O(n k j), and A is applied to the new columns only.
-    One instance serves a whole run: :meth:`reset` empties it for the next
-    stage but keeps the buffers of ``V`` and ``A V``, which grow only when a
-    stage outgrows every earlier one.
+    ``A V``, ``V^T A V`` and ``V^T B`` kept in step for the operator
+    product ``apply`` (``A`` or ``A^T``) and the n-by-m ``b``: adding j
+    columns to a k-column basis costs O(n k j), and ``apply`` sees the new
+    columns only. One instance serves a whole run: :meth:`restart` empties
+    it for the next stage but keeps the buffers of ``V`` and ``A V``, which
+    grow only when a stage outgrows every earlier one.
     """
 
-    def __init__(self, n, m):
-        self._v = np.empty((n, 0), order="F")
-        self._av = np.empty((n, 0), order="F")
-        self.reset(m)
+    def __init__(self, apply, b):
+        self._apply = apply
+        self._b = b
+        self._v = np.empty((b.shape[0], 0), order="F")
+        self._av = np.empty((b.shape[0], 0), order="F")
+        self.restart()
 
-    def reset(self, m):
+    def restart(self, new=None):
+        """Empty the basis, then absorb ``new`` when given."""
         self.k = 0
         self.ak = np.zeros((0, 0))
-        self.bk = np.zeros((0, m))
+        self.bk = np.zeros((0, self._b.shape[1]))
+        if new is not None:
+            self.extend(new)
 
     @property
     def v(self):
         return self._v[:, :self.k]
 
-    def extend(self, op, b, new):
+    @property
+    def av(self):
+        return self._av[:, :self.k]
+
+    def extend(self, new):
         """Absorb the directions of ``new`` not yet in the span of ``V``,
         bordering ``V^T A V`` with the two off-diagonal blocks and the new
         diagonal block. The new columns are formed in place in the spare
@@ -281,9 +294,9 @@ class _Basis:
         self._av = _reserve(self._av, k, j)
         v, av = self._v[:, :k], self._av[:, :k]
         q = extend_orthonormal(v, new, out=self._v[:, k:k + j])
-        aq = op.apply(q)
+        aq = self._apply(q)
         self.ak = np.block([[self.ak, v.T @ aq], [q.T @ av, q.T @ aq]])
-        self.bk = np.vstack([self.bk, q.T @ b])
+        self.bk = np.vstack([self.bk, q.T @ self._b])
         self._av[:, k:k + q.shape[1]] = aq
         self.k += q.shape[1]
 
@@ -316,10 +329,10 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
 
     ladder = _RankLadder(cfg)
     ar, br, _ = _arbitrary_stable_rom(cfg.r0, m, 0, cfg.seed)
-    basis = _Basis(op.n, m)
+    basis = _Basis(op.apply, b)
     while True:
         phat = solve_sylvester_skinny(op, ar, b @ br.T)
-        basis.extend(op, b, phat)
+        basis.extend(phat)
         if basis.k == 0:  # zero right-hand side: nothing to capture
             small = ar = np.zeros((0, 0))
             br = np.zeros((0, m))
@@ -340,11 +353,11 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
             break
         if stage_done:
             # the next stage starts from the latest interpolation data alone
-            basis.reset(m)
-            basis.extend(op, b, phat)
+            basis.restart(phat)
 
     pr = solve_lyapunov_dense(ar, br @ br.T) if ar.shape[0] else np.zeros((0, 0))
     factor = LowRankGramian(basis=basis.v @ small, core=pr)
-    residual = lowrank_lyapunov_residual(op, b, factor)
+    # A V C from the A V the basis already holds
+    residual = _factored_residual(factor.basis, basis.av @ (small @ pr), b)
     return AlrsResult(factor=factor, singular_history=ladder.history,
                       converged=ladder.converged, residual=residual)

@@ -10,8 +10,11 @@ Hankel singular values of the full model.
 
 The stage, rank and stop policy is the Lyapunov solver's rank ladder and
 the truncation is :func:`~tibt.reducers.square_root_pair`; only the sweep
-body differs. Unlike the one-sided solver, both bases are re-orthonormalized
-in full every sweep and re-biorthogonalized when ``W_k^T V_k`` degrades.
+body differs. Both bases are the Lyapunov solver's append-only basis, one
+for ``(A, B)`` and one for ``(A^T, C^T)``, so a sweep applies ``A`` and
+``A^T`` to the new columns only; the cross products ``W_k^T V_k`` and
+``W_k^T A V_k`` are formed whole each sweep, and both bases restart from
+their well-conditioned directions when ``W_k^T V_k`` degrades.
 """
 
 from __future__ import annotations
@@ -20,15 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alrs import AlrsConfig, IterationRecord, _arbitrary_stable_rom, _RankLadder
+from .alrs import AlrsConfig, IterationRecord, _arbitrary_stable_rom, _Basis, _RankLadder
 from .errors import DenseInfeasibleError
-from .linalg import (
-    ordered_svd,
-    orthonormalize,
-    psd_factor,
-    solve_lyapunov_dense,
-    solve_sylvester_skinny,
-)
+from .linalg import ordered_svd, psd_factor, solve_lyapunov_dense, solve_sylvester_skinny
 from .reducers import ReducedModel, reflect_spectrum, square_root_pair
 from .system import StateSpaceModel, SvReport, hankel_singular_values, require_hurwitz
 
@@ -66,13 +63,14 @@ class AtiaResult:
         return len(self.history)
 
 
-def _rebiorthogonalize(vk, wk, wv):
+def _rebiorthogonalize(vb, wb, wv):
     """Trim directions along which span(W_k) and span(V_k) are nearly
-    orthogonal, keeping both bases orthonormal and their cross product
-    well conditioned."""
+    orthogonal: restart both bases from their columns that keep the cross
+    product well conditioned."""
     uu, ss, vv = ordered_svd(wv)
     keep = ss > ss[0] / BIORTH_COND_CAP
-    return vk @ vv[:, keep], wk @ uu[:, keep]
+    vb.restart(vb.v @ vv[:, keep])
+    wb.restart(wb.v @ uu[:, keep])
 
 
 def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaResult:
@@ -87,48 +85,50 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
     whether rank growth stopped by tolerance or by ``k_max`` exhaustion.
 
     ``on_iteration``, when given, is called once per sweep with
-    ``(record, v_basis, w_basis, new_v_directions, new_w_directions)``.
+    ``(record, v_basis, w_basis, new_v_directions, new_w_directions)``; it
+    must not mutate its arguments. ``v_basis`` and ``w_basis`` are views of
+    the run's basis buffers, which later stages overwrite, so a hook that
+    keeps them must copy them.
     """
     require_hurwitz(model)
     ladder = _RankLadder(cfg)
     ar, br, cr = _arbitrary_stable_rom(cfg.r0, model.m, model.p, cfg.seed)
-    vk = wk = np.zeros((model.n, 0))
+    vb = _Basis(model.A.apply, model.B)
+    wb = _Basis(model.A.apply_transpose, model.C.T)
     while True:
         ar = reflect_spectrum(ar, floor=REFLECT_FLOOR)
         phat = solve_sylvester_skinny(model.A, ar, model.B @ br.T)
         qhat = solve_sylvester_skinny(model.A.transpose(), ar.T, model.C.T @ cr)
-        vk = orthonormalize(np.hstack([vk, phat]))
-        wk = orthonormalize(np.hstack([wk, qhat]))
-        if vk.shape[1] == 0 or wk.shape[1] == 0:
+        vb.extend(phat)
+        wb.extend(qhat)
+        if vb.k == 0 or wb.k == 0:
             raise ValueError(
                 "model has numerically zero input or output coupling; "
                 "nothing to reduce")
-        wv = wk.T @ vk
+        wv = wb.v.T @ vb.v
         if np.linalg.cond(wv) > BIORTH_COND_CAP:
-            vk, wk = _rebiorthogonalize(vk, wk, wv)
-            wv = wk.T @ vk
+            _rebiorthogonalize(vb, wb, wv)
+            wv = wb.v.T @ vb.v
 
-        avk = model.A.apply(vk)
-        bk = vk.T @ model.B
-        ck = model.C @ wk
-        zp = psd_factor(solve_lyapunov_dense(vk.T @ avk, bk @ bk.T)).z
-        zq = psd_factor(solve_lyapunov_dense(
-            wk.T @ model.A.apply_transpose(wk), ck.T @ ck)).z
+        vk, wk = vb.v, wb.v
+        zp = psd_factor(solve_lyapunov_dense(vb.ak, vb.bk @ vb.bk.T)).z
+        zq = psd_factor(solve_lyapunov_dense(wb.ak, wb.bk @ wb.bk.T)).z
         svd = ordered_svd(zq.T @ wv @ zp)
         stage_done = ladder.step(svd[1])
         if on_iteration is not None:
             on_iteration(ladder.history[-1], vk, wk, phat, qhat)
 
         vr_small, wr_small = square_root_pair(zp, zq, svd, ladder.r)
-        # oblique projection update in the small coordinates
-        ar = wr_small.T @ (wk.T @ avk) @ vr_small
+        # oblique projection update in the small coordinates, with
+        # W^T A V = (A^T W)^T V
+        ar = wr_small.T @ (wb.av.T @ vk) @ vr_small
         br = wr_small.T @ (wk.T @ model.B)
         cr = (model.C @ vk) @ vr_small
         if ladder.done(svd[1]):
             break
         if stage_done:
-            vk = orthonormalize(phat)
-            wk = orthonormalize(qhat)
+            vb.restart(phat)
+            wb.restart(qhat)
 
     retained = SvReport(values=svd[1][:vr_small.shape[1]].copy(), kind="hankel")
     red = ReducedModel(rom=StateSpaceModel(ar, br, cr),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -90,10 +89,10 @@ def load_config(path) -> dict:
     tols = raw.get("tols")
     if tols is not None and not (
             isinstance(tols, list) and tols
-            and all(_is_number(t) and math.isfinite(t) and t > 0 for t in tols)):
+            and all(_is_number(t) and 0.0 < t < 1.0 for t in tols)):
         raise ConfigError(
-            f"{path}: 'tols' must be a non-empty list of finite positive "
-            f"numbers, got {tols!r}")
+            f"{path}: 'tols' must be a non-empty list of numbers in (0, 1), "
+            f"got {tols!r}")
     for key, least in (("r", 1), ("seed", 0), ("grid_points", 2), ("dense_cap", 1)):
         value = raw.get(key, least)
         if not (_is_integer(value) and value >= least):

@@ -21,10 +21,6 @@ class ShiftSolveFailure(TibtError):
     """A shifted linear system (A - sI)x = b could not be solved reliably."""
 
 
-class EmptyInputError(TibtError):
-    """An orthonormalization produced no basis vectors from nonzero input."""
-
-
 class NotSymmetricError(TibtError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 

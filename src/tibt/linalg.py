@@ -14,7 +14,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
-    EmptyInputError,
     NonHurwitzError,
     NotSymmetricError,
     ShiftSolveFailure,
@@ -419,33 +418,15 @@ def solve_sylvester_skinny(a, m, f):
 
 
 def orthonormalize(m):
-    """Orthonormal basis of the numerical range of ``m`` (n-by-k, k' <= k).
-
-    Rank-deficient directions are dropped: after column-pivoted QR, trailing
-    columns whose pivot magnitude falls below ``ORTH_DROP_RTOL`` times the
-    largest input column norm are discarded. A (numerically) zero input
-    yields an empty basis.
+    """Orthonormal basis of the numerical range of ``m`` (n-by-k, k' <= k):
+    :func:`extend_orthonormal` of the empty basis, so directions whose
+    pivot falls below ``ORTH_DROP_RTOL`` times the largest input column
+    norm are dropped and a (numerically) zero input yields an empty basis.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    n, k = m.shape
-    if n < 1:
-        raise ValueError("row dimension must be >= 1")
-    if k == 0:
-        return np.zeros((n, 0))
-    max_col = np.max(np.sqrt(np.einsum("ij,ij->j", m, m)))
-    if max_col == 0.0 or not np.isfinite(max_col):
-        if not np.isfinite(max_col):
-            raise ValueError("input contains non-finite entries")
-        return np.zeros((n, 0))
-    q, r, _ = sla.qr(m, mode="economic", pivoting=True)
-    # pivoting makes |diag(R)| non-increasing, so the kept set is a prefix
-    resid = np.abs(np.diag(r))
-    kept = int(np.sum(resid > ORTH_DROP_RTOL * max_col))
-    if kept == 0:
-        raise EmptyInputError("nonzero input reduced to an empty basis")
-    return np.ascontiguousarray(q[:, :kept])
+    return extend_orthonormal(np.zeros((m.shape[0], 0)), m)
 
 
 def cgs2(q, x, out=None):
@@ -486,22 +467,22 @@ def extend_orthonormal(q, new, out=None):
     """Orthonormal columns that extend orthonormal ``q`` (n-by-k) to a basis
     of the numerical range of ``[q, new]``; ``q`` itself is never changed.
 
-    ``new`` is projected off ``q`` by :func:`cgs2`. The pivoted QR with the
-    :func:`orthonormalize` drop rule, measured against the largest column
-    norm of ``[q, new]`` (the columns of ``q`` have unit norm), runs on the
-    small stack of panel R factors that :func:`cgs2` returns, which has the
-    R factor of the remainder. The kept columns ``rem[:, perm] @ inv(R11)``
-    get one more projection off ``q`` and a Cholesky-QR pass: that product
-    loses orthogonality in proportion to the condition of ``R11``, and a
-    remainder just above the drop threshold would lose orthogonality to
-    ``q`` in proportion to how much it shrank. Three panel passes form the
-    product with the projection coefficients, then the projection with the
-    Gram matrix, then the Cholesky-QR product, all in the storage of the
-    remainder: ``out`` when given (an n-by-j Fortran-ordered array that
-    overlaps neither input, such as the spare columns of a basis buffer),
-    so the result is its leading columns. Costs O(n k j + n j^2) for j new
-    columns, independent of how the basis was built. The result is
-    Fortran-ordered.
+    ``new`` is projected off ``q`` by :func:`cgs2`. A column-pivoted QR runs
+    on the small stack of panel R factors that :func:`cgs2` returns, which
+    has the R factor of the remainder; directions whose pivot falls below
+    ``ORTH_DROP_RTOL`` times the largest column norm of ``[q, new]`` (the
+    columns of ``q`` have unit norm) are dropped. The kept columns
+    ``rem[:, perm] @ inv(R11)`` get one more projection off ``q`` and a
+    Cholesky-QR pass: that product loses orthogonality in proportion to the
+    condition of ``R11``, and a remainder just above the drop threshold
+    would lose orthogonality to ``q`` in proportion to how much it shrank.
+    Three panel passes form the product with the projection coefficients,
+    then the projection with the Gram matrix, then the Cholesky-QR product,
+    all in the storage of the remainder: ``out`` when given (an n-by-j
+    Fortran-ordered array that overlaps neither input, such as the spare
+    columns of a basis buffer), so the result is its leading columns. Costs
+    O(n k j + n j^2) for j new columns, independent of how the basis was
+    built. The result is Fortran-ordered.
     """
     q = np.asarray(q, dtype=float)
     new = np.asarray(new, dtype=float)

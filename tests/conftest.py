@@ -65,3 +65,52 @@ def two_qr_lyapunov_residual(a, b, factor):
     _, rg = np.linalg.qr(np.hstack([u1, v, b]))
     _, rh = np.linalg.qr(np.hstack([v, u1, b]))
     return np.linalg.norm(rg @ rh.T, 2) / np.linalg.norm(b, 2) ** 2
+
+
+class CountingOperator(tibt.LinearOperator):
+    """Delegates to ``inner`` and counts the columns passed to ``apply`` and
+    ``apply_transpose`` in ``cols``, which its transpose shares."""
+
+    def __init__(self, inner, cols=None):
+        self.inner = inner
+        self.known_hurwitz = inner.known_hurwitz
+        self.cols = [0] if cols is None else cols
+
+    def _count(self, x):
+        self.cols[0] += x.shape[1] if np.ndim(x) == 2 else 1
+
+    @property
+    def n(self):
+        return self.inner.n
+
+    def apply(self, x):
+        self._count(x)
+        return self.inner.apply(x)
+
+    def apply_transpose(self, x):
+        self._count(x)
+        return self.inner.apply_transpose(x)
+
+    def shifted_solve(self, s, b):
+        return self.inner.shifted_solve(s, b)
+
+    def transpose(self):
+        return CountingOperator(self.inner.transpose(), self.cols)
+
+    def to_dense(self):
+        return self.inner.to_dense()
+
+
+class AbsorbedColumns:
+    """``on_iteration`` hook helper: sums the columns a basis absorbed
+    between sweeps. A sweep that opens a stage (``record.i == 1``) starts
+    from an empty basis, so it absorbed all of its columns."""
+
+    def __init__(self):
+        self.total = 0
+        self._width = 0
+
+    def add(self, record, basis):
+        width = basis.shape[1]
+        self.total += width if record.i == 1 else width - self._width
+        self._width = width

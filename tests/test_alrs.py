@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import max_principal_angle, two_qr_lyapunov_residual
+from conftest import (
+    AbsorbedColumns,
+    CountingOperator,
+    max_principal_angle,
+    two_qr_lyapunov_residual,
+)
 
 import tibt
 import tibt.alrs
@@ -138,6 +143,26 @@ class TestAlrsLyap:
         expected = two_qr_lyapunov_residual(m.A.to_dense(), m.B, factor)
         got = lowrank_lyapunov_residual(m.A, m.B, factor)
         assert abs(got - expected) <= 1e-10 * expected
+
+    @pytest.mark.parametrize("make", [lambda: tibt.heat_rod(1000),
+                                      lambda: tibt.random_stable(150, 2, 2, seed=0)],
+                             ids=["heat_rod", "random_stable"])
+    def test_residual_matches_public_kernel(self, make):
+        # the run takes A V C from its basis, the public kernel applies A
+        model = make()
+        res = tibt.alrs_lyap(model.A, model.B, AlrsConfig(r0=2, dr=2, tol=1e-6, seed=0))
+        expected = lowrank_lyapunov_residual(model.A, model.B, res.factor)
+        assert abs(res.residual - expected) <= 1e-10 * expected
+
+    def test_applies_a_only_to_absorbed_columns(self):
+        m = tibt.heat_rod(2000)
+        op = CountingOperator(m.A)
+        absorbed = AbsorbedColumns()
+        res = tibt.alrs_lyap(op, m.B, AlrsConfig(r0=2, dr=2, tol=1e-6, seed=0),
+                             on_iteration=lambda rec, basis, _: absorbed.add(rec, basis))
+        assert res.converged
+        assert sum(rec.i == 1 for rec in res.singular_history) >= 3  # stages
+        assert op.cols[0] == absorbed.total
 
     def test_basis_stays_orthonormal_every_sweep(self):
         # tol = 1e-10 drives the basis into directions it already holds, so

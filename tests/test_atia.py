@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from conftest import max_principal_angle
+from conftest import AbsorbedColumns, CountingOperator, max_principal_angle
 
 import tibt
+import tibt.atia
+import tibt.linalg
 from tibt.atia import AtiaConfig, atia_hsv_compare
 from tibt.errors import DenseInfeasibleError
 
@@ -117,6 +119,51 @@ class TestAtiaBt:
         tibt.atia_bt(m, AtiaConfig(tol=1e-4, seed=0), on_iteration=probe)
         assert worst
         assert max(worst) <= 1e-8
+
+    def test_bases_grow_append_only(self, monkeypatch):
+        # A and A^T see each absorbed column once and no full basis, and no
+        # basis is rebuilt by a full re-orthonormalization
+        def no_full_orthonormalization(m):
+            raise AssertionError("full re-orthonormalization")
+
+        monkeypatch.setattr(tibt.atia, "orthonormalize", no_full_orthonormalization,
+                            raising=False)
+        monkeypatch.setattr(tibt.linalg, "orthonormalize", no_full_orthonormalization)
+        src = tibt.random_stable(120, 2, 2, seed=5)
+        op = CountingOperator(tibt.DenseOperator(src.A.to_dense(), known_hurwitz=True))
+        m = tibt.StateSpaceModel(op, src.B, src.C)
+        v_absorbed, w_absorbed = AbsorbedColumns(), AbsorbedColumns()
+
+        def probe(record, vk, wk, phat, qhat):
+            v_absorbed.add(record, vk)
+            w_absorbed.add(record, wk)
+
+        res = tibt.atia_bt(m, AtiaConfig(tol=1e-4, seed=0), on_iteration=probe)
+        assert res.converged
+        assert sum(rec.i == 1 for rec in res.history) >= 3  # stages
+        assert op.cols[0] == v_absorbed.total + w_absorbed.total
+
+    def test_rebiorthogonalization_branch(self, monkeypatch):
+        # a low cap on cond(W^T V) forces the branch that restarts both
+        # bases from their well-conditioned directions
+        taken = []
+        rebiorthogonalize = tibt.atia._rebiorthogonalize
+
+        def counting(*args):
+            taken.append(True)
+            return rebiorthogonalize(*args)
+
+        monkeypatch.setattr(tibt.atia, "BIORTH_COND_CAP", 1e2)
+        monkeypatch.setattr(tibt.atia, "_rebiorthogonalize", counting)
+        m = tibt.random_stable(120, 2, 2, seed=5)
+        res = tibt.atia_bt(m, AtiaConfig(tol=1e-4, seed=0))
+        assert taken
+        assert res.converged
+        dense = tibt.hankel_singular_values(m).values
+        est = res.hankel_estimates.values
+        assert np.max(np.abs(est - dense[: len(est)]) / dense[: len(est)]) <= 1e-4
+        wv = res.rom.Wr.T @ res.rom.Vr
+        assert np.linalg.norm(wv - np.eye(wv.shape[0]), 2) <= 1e-8
 
     def test_retained_estimates_stable_across_stage_advance(self):
         m = tibt.random_stable(200, 2, 2, seed=9)

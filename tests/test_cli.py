@@ -187,6 +187,8 @@ class TestConfigValidation:
         {"tols": [float("inf")]},
         {"dense_cap": "big"},
         {"dense_cap": 0},
+        {"tols": [1.0]},
+        {"tols": [2.0]},
     ])
     def test_bad_run_settings_rejected_before_model_built(
             self, tmp_path, capsys, monkeypatch, extra):
