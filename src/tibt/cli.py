@@ -24,6 +24,7 @@ from . import benchmarks
 from .alrs import AlrsConfig, alrs_lyap
 from .atia import atia_bt, atia_hsv_compare
 from .errors import TibtError
+from .linalg import flushes_subnormals
 from .metrics import DENSE_CAP_DEFAULT, FreqGrid, gramian_rel_error, hinf_rel_error, pq_rel_error
 from .reducers import bt_square_root, h2_optimality_residuals, tcr, tor, tsia
 from .system import gramians_dense, hankel_singular_values
@@ -323,6 +324,8 @@ def _limit_threads():
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        print("warning: --deterministic: threadpoolctl is not installed; "
+              "BLAS threads not pinned", file=sys.stderr)
         return None
     return threadpool_limits(limits=1)
 
@@ -363,6 +366,7 @@ def main(argv=None) -> int:
             # False when pinning was asked for but threadpoolctl is missing
             "threads_pinned": limiter is not None,
             "blas": _blas_setup(),
+            "flush_subnormals": flushes_subnormals(),
             "wall_clock_sec": time.monotonic() - started,
             "exit_code": code,
         }

@@ -1,10 +1,13 @@
 import importlib.util
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
 
 import tibt
+import tibt.linalg
 import tibt.system
 from tibt.cli import main
 
@@ -396,6 +399,30 @@ class TestReproducibility:
         assert run_echo["deterministic"] is flag
         pinnable = importlib.util.find_spec("threadpoolctl") is not None
         assert run_echo["threads_pinned"] is (flag and pinnable)
+
+    def test_unpinnable_deterministic_run_warns(self, tmp_path, capsys, monkeypatch):
+        # a None entry in sys.modules makes the import fail as if missing
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "illustrative4"},
+                           task="dense-bt", r=2, output_dir=str(out))
+        assert main(["run", cfg, "--deterministic"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: --deterministic: threadpoolctl is not installed; "
+            "BLAS threads not pinned\n")
+        assert json.loads((out / "run.json").read_text())["threads_pinned"] is False
+        assert main(["run", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_flush_subnormals_recorded(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "illustrative4"},
+                           task="dense-bt", r=2, output_dir=str(out))
+        assert main(["run", cfg]) == 0
+        flush = json.loads((out / "run.json").read_text())["flush_subnormals"]
+        assert flush is tibt.linalg.flushes_subnormals()
+        assert flush is (sys.platform == "linux" and os.uname().machine == "x86_64"
+                         and (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"))
 
     def test_blas_setup_recorded(self, tmp_path):
         out = tmp_path / "out"

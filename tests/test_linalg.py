@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg as sla
 from conftest import kron_lyapunov, kron_sylvester, max_principal_angle
 
+from tibt import linalg
+from tibt.benchmarks import heat_rod
 from tibt.errors import (
     NonHurwitzError,
     NotSymmetricError,
@@ -17,6 +19,7 @@ from tibt.linalg import (
     TridiagonalOperator,
     cgs2,
     extend_orthonormal,
+    flushes_subnormals,
     ordered_svd,
     orthonormalize,
     psd_factor,
@@ -463,6 +466,73 @@ class TestTridiagonalBitIdentity:
         op.shifted_solve(0.7, np.ones(3))
         op.shifted_solve(0.7 + 1.0j, np.ones(3))
         assert np.array_equal(op.to_dense(), before)
+
+
+def rod_solve_parts(n, s):
+    """Real and imaginary parts of ``heat_rod(n)``'s shifted solve with its
+    B, from ``TridiagonalOperator.shifted_solve`` and from a direct
+    ``gtsv`` call with the rod's diagonals."""
+    model = heat_rod(n)
+    h2 = float(n + 1) ** 2
+    rhs = np.array(model.B, dtype=complex, order="F")
+    gtsv = sla.get_lapack_funcs("gtsv", (rhs,))
+    off = np.full(n - 1, h2, dtype=complex)
+    _, _, _, want, info = gtsv(off, np.full(n, -2.0 * h2) - s, off.copy(), rhs)
+    assert info == 0
+    got = model.A.shifted_solve(s, model.B)
+    return [np.concatenate([x.real.ravel(), x.imag.ravel()]) for x in (got, want)]
+
+
+def subnormal(x):
+    return (x != 0) & (np.abs(x) < np.finfo(float).tiny)
+
+
+def float_mode_is_ieee():
+    return np.float64(1e-300) * 1e-10 != 0
+
+
+class TestTridiagonalSubnormals:
+    """On x86-64 Linux with glibc the tridiagonal solve flushes results
+    below the smallest normal double to zero; elsewhere it is plain
+    ``gtsv``. The frequency is one where the rod's solution decays into
+    subnormals."""
+
+    SHIFT = 3.66e6j
+
+    @pytest.mark.skipif(not flushes_subnormals(),
+                        reason="flush-to-zero is set on x86-64 Linux with glibc only")
+    def test_subnormal_results_flushed(self):
+        got, want = rod_solve_parts(2000, self.SHIFT)
+        assert np.count_nonzero(subnormal(want)) > 50
+        assert not np.any(subnormal(got))
+        # flushed intermediates move only the entries within 2**52 of the
+        # threshold, and those by about the threshold itself
+        tiny = np.finfo(float).tiny
+        far = np.abs(want) >= tiny / np.finfo(float).eps
+        assert np.array_equal(got[far], want[far])
+        assert np.max(np.abs(got - want)) <= 2 * tiny
+
+    def test_gtsv_bitwise_without_flush(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_FENV", None)
+        assert not flushes_subnormals()
+        got, want = rod_solve_parts(2000, self.SHIFT)
+        assert np.any(subnormal(want))
+        assert np.array_equal(got, want)
+
+    def test_subnormal_inputs_not_zeroed(self):
+        # [[1, 0], [1, 1]] x = b gives x = [b0, b1 - b0], both normal here
+        b = np.array([3e-308, -1e-309])
+        op = TridiagonalOperator([1.0], [1.0, 1.0], [0.0])
+        assert np.array_equal(op.shifted_solve(0.0, b), np.array([b[0], b[1] - b[0]]))
+
+    def test_float_mode_restored(self):
+        assert float_mode_is_ieee()
+        op = TridiagonalOperator([1.0], [-1.0, -1.0], [1.0])
+        op.shifted_solve(0.5j, np.ones(2))
+        assert float_mode_is_ieee()
+        with pytest.raises(ShiftSolveFailure):
+            op.shifted_solve(0.0, np.ones(2))
+        assert float_mode_is_ieee()
 
 
 class TestOperators:
