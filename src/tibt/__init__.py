@@ -35,7 +35,6 @@ from .errors import (
 from .linalg import (
     DenseOperator,
     LinearOperator,
-    SpdFactor,
     TridiagonalOperator,
     ordered_svd,
     orthonormalize,

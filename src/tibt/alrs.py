@@ -1,11 +1,12 @@
 """Adaptive low-rank Lyapunov solver driven by tangential interpolation.
 
-Starting from an arbitrary small stable pair, each sweep enforces
-interpolation at the mirror images of the current approximation's poles,
-grows the trial basis, and reads approximate singular values off the
-projected Lyapunov solution. When the retained values stagnate, the target
-rank is raised and the basis is reset to the latest interpolation data, so
-the basis (and the SVD cost) never grows past ``r * i_max`` columns.
+Starting from the seed's small stable :func:`~tibt.benchmarks.random_stable`
+pair, each sweep enforces interpolation at the mirror images of the current
+approximation's poles, grows the trial basis, and reads approximate singular
+values off the projected Lyapunov solution. When the retained values
+stagnate, the target rank is raised and the basis is reset to the latest
+interpolation data, so the basis (and the SVD cost) never grows past
+``r * i_max`` columns.
 
 The stage, rank and stop policy lives in :class:`_RankLadder`, which the
 two-sided driver in :mod:`tibt.atia` shares; both truncate through
@@ -34,6 +35,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .benchmarks import random_stable
 from .linalg import (
     as_operator,
     cgs2,
@@ -133,23 +135,8 @@ class AlrsResult:
     @property
     def values(self) -> np.ndarray:
         """Final singular-value estimates (eigenvalues of the core)."""
-        w = np.linalg.eigvalsh(self.core_sym())[::-1]
+        w = np.linalg.eigvalsh(self.factor.core)[::-1]
         return np.clip(w, 0.0, None)
-
-    def core_sym(self) -> np.ndarray:
-        c = self.factor.core
-        return 0.5 * (c + c.T)
-
-
-def _arbitrary_stable_rom(r, m, p, seed):
-    """Deterministic Gaussian ``(Ar, Br, Cr)`` with ``Ar`` shifted to be
-    safely Hurwitz; ``p = 0`` gives the one-sided pair plus an empty ``Cr``."""
-    streams = np.random.SeedSequence(seed).spawn(3)
-    g = np.random.default_rng(streams[0]).standard_normal((r, r))
-    ar = g - (np.linalg.norm(g, 2) + 1.0) * np.eye(r)
-    br = np.random.default_rng(streams[1]).standard_normal((r, m))
-    cr = np.random.default_rng(streams[2]).standard_normal((p, r))
-    return ar, br, cr
 
 
 def padded_change(new, prev):
@@ -328,7 +315,9 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
     m = b.shape[1]
 
     ladder = _RankLadder(cfg)
-    ar, br, _ = _arbitrary_stable_rom(cfg.r0, m, 0, cfg.seed)
+    # the seed's stable starting pair; C goes unused, an empty B stays empty
+    start = random_stable(cfg.r0, max(m, 1), 1, cfg.seed)
+    ar, br = start.A.to_dense(), start.B[:, :m]
     basis = _Basis(op.apply, b)
     while True:
         phat = solve_sylvester_skinny(op, ar, b @ br.T)
@@ -339,7 +328,7 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
             ladder.converged = True
             break
         ak, bk = basis.ak, basis.bk
-        zp = psd_factor(solve_lyapunov_dense(ak, bk @ bk.T)).z
+        zp = psd_factor(solve_lyapunov_dense(ak, bk @ bk.T))
         svd = ordered_svd(zp.T @ zp)
         stage_done = ladder.step(svd[1])
         if on_iteration is not None:

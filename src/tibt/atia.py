@@ -14,7 +14,9 @@ body differs. Both bases are the Lyapunov solver's append-only basis, one
 for ``(A, B)`` and one for ``(A^T, C^T)``, so a sweep applies ``A`` and
 ``A^T`` to the new columns only; the cross products ``W_k^T V_k`` and
 ``W_k^T A V_k`` are formed whole each sweep, and both bases restart from
-their well-conditioned directions when ``W_k^T V_k`` degrades.
+their well-conditioned directions when ``W_k^T V_k`` degrades. The sweep
+count is :attr:`AtiaResult.iterations_used`; ``ReducedModel.iterations``
+is set only by :func:`~tibt.reducers.tsia`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alrs import AlrsConfig, IterationRecord, _arbitrary_stable_rom, _Basis, _RankLadder
+from .alrs import AlrsConfig, IterationRecord, _Basis, _RankLadder
+from .benchmarks import random_stable
 from .errors import DenseInfeasibleError
 from .linalg import ordered_svd, psd_factor, solve_lyapunov_dense, solve_sylvester_skinny
 from .reducers import ReducedModel, reflect_spectrum, square_root_pair
@@ -92,7 +95,8 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
     """
     require_hurwitz(model)
     ladder = _RankLadder(cfg)
-    ar, br, cr = _arbitrary_stable_rom(cfg.r0, model.m, model.p, cfg.seed)
+    start = random_stable(cfg.r0, model.m, model.p, cfg.seed)
+    ar, br, cr = start.A.to_dense(), start.B, start.C
     vb = _Basis(model.A.apply, model.B)
     wb = _Basis(model.A.apply_transpose, model.C.T)
     while True:
@@ -111,8 +115,8 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
             wv = wb.v.T @ vb.v
 
         vk, wk = vb.v, wb.v
-        zp = psd_factor(solve_lyapunov_dense(vb.ak, vb.bk @ vb.bk.T)).z
-        zq = psd_factor(solve_lyapunov_dense(wb.ak, wb.bk @ wb.bk.T)).z
+        zp = psd_factor(solve_lyapunov_dense(vb.ak, vb.bk @ vb.bk.T))
+        zq = psd_factor(solve_lyapunov_dense(wb.ak, wb.bk @ wb.bk.T))
         svd = ordered_svd(zq.T @ wv @ zp)
         stage_done = ladder.step(svd[1])
         if on_iteration is not None:
@@ -130,11 +134,10 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
             vb.restart(phat)
             wb.restart(qhat)
 
-    retained = SvReport(values=svd[1][:vr_small.shape[1]].copy(), kind="hankel")
+    retained = SvReport(values=svd[1][:vr_small.shape[1]].copy())
     red = ReducedModel(rom=StateSpaceModel(ar, br, cr),
                        Vr=vk @ vr_small, Wr=wk @ wr_small,
-                       retained_sv=retained, converged=ladder.converged,
-                       iterations=len(ladder.history))
+                       retained_sv=retained, converged=ladder.converged)
     return AtiaResult(rom=red, history=ladder.history)
 
 

@@ -7,6 +7,8 @@ choice is documented in the README so experiments are reproducible.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DimensionMismatchError, ParseError
@@ -82,9 +84,25 @@ def illustrative4() -> StateSpaceModel:
     return StateSpaceModel(DenseOperator(a, known_hurwitz=True), b, c)
 
 
+class _Entries(NamedTuple):
+    """Entries of a coordinate file: 0-based indices and values, one per
+    position."""
+
+    shape: tuple
+    i: np.ndarray
+    j: np.ndarray
+    v: np.ndarray
+
+
 def _mm_parse(path):
     """Parse one Matrix Market file (coordinate or array; general or
-    symmetric; real entries) into a dense array."""
+    symmetric; real entries).
+
+    An array file gives a dense array. A coordinate file gives its
+    :class:`_Entries`, the mirror images of a symmetric file's off-diagonal
+    entries included; where several entries fall on one position, the one
+    written last wins.
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
     if not lines:
@@ -121,8 +139,10 @@ def _mm_parse(path):
         if len(data) - 1 != nnz:
             raise ParseError(f"expected {nnz} entries, found {len(data) - 1}",
                              line=size_lineno)
-        mat = np.zeros((rows, cols))
-        for lineno, entry in data[1:]:
+        ii = np.empty(nnz, dtype=np.int64)
+        jj = np.empty(nnz, dtype=np.int64)
+        vv = np.empty(nnz)
+        for k, (lineno, entry) in enumerate(data[1:]):
             toks = entry.split()
             if len(toks) != 3:
                 raise ParseError("coordinate entry needs 'i j value'", line=lineno)
@@ -132,9 +152,17 @@ def _mm_parse(path):
                 raise ParseError("malformed coordinate entry", line=lineno) from None
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise ParseError(f"index ({i}, {j}) out of bounds", line=lineno)
-            mat[i - 1, j - 1] = v
-            if symmetry == "symmetric" and i != j:
-                mat[j - 1, i - 1] = v
+            ii[k], jj[k], vv[k] = i - 1, j - 1, v
+        if symmetry == "symmetric":
+            # each off-diagonal entry is written, then its mirror image
+            keep = np.column_stack([np.ones(nnz, dtype=bool), ii != jj]).ravel()
+            ii, jj = (np.column_stack([ii, jj]).ravel()[keep],
+                      np.column_stack([jj, ii]).ravel()[keep])
+            vv = np.repeat(vv, 2)[keep]
+        # the last write to a position is the first of the reversed sequence
+        _, first = np.unique((ii * cols + jj)[::-1], return_index=True)
+        last = len(ii) - 1 - first
+        return _Entries((rows, cols), ii[last], jj[last], vv[last])
     else:
         if len(sizes) != 2:
             raise ParseError("array size line needs 'rows cols'", line=size_lineno)
@@ -173,41 +201,60 @@ def _mm_parse(path):
     return mat
 
 
+def _dense(parsed):
+    """The dense array of a :func:`_mm_parse` result."""
+    if isinstance(parsed, np.ndarray):
+        return parsed
+    mat = np.zeros(parsed.shape)
+    mat[parsed.i, parsed.j] = parsed.v
+    return mat
+
+
 def read_matrix_market(path) -> np.ndarray:
     """Read a single Matrix Market file as a dense array."""
-    return _mm_parse(path)
+    return _dense(_mm_parse(path))
 
 
-def _is_tridiagonal(a):
-    n = a.shape[0]
-    if n != a.shape[1]:
-        return False
-    mask = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) > 1
-    return not np.any(a[mask])
+def _tridiagonal(parsed):
+    """The :class:`TridiagonalOperator` of a square :func:`_mm_parse` result
+    whose nonzeros all lie on the three central diagonals, else None. A
+    coordinate result is checked and copied in O(nnz)."""
+    if isinstance(parsed, np.ndarray):
+        bands = [np.diag(parsed, k).copy() for k in (-1, 0, 1)]
+        if sum(map(np.count_nonzero, bands)) != np.count_nonzero(parsed):
+            return None
+        return TridiagonalOperator(*bands)
+    (n, _), i, j, v = parsed
+    offset = j - i
+    if np.any(np.abs(offset[v != 0.0]) > 1):
+        return None
+    bands = [np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)]
+    for k, band in zip((-1, 0, 1), bands):
+        on = offset == k
+        band[np.minimum(i, j)[on]] = v[on]
+    return TridiagonalOperator(*bands)
 
 
 def load_matrix_market(a_path, b_path, c_path) -> StateSpaceModel:
     """Assemble a state-space model from three Matrix Market files.
 
     ``A`` becomes a tridiagonal operator when its pattern allows, otherwise
-    a dense one. Raises :class:`DimensionMismatchError` when the shapes of
-    the three matrices are inconsistent.
+    a dense one; a tridiagonal coordinate file is never densified. Raises
+    :class:`DimensionMismatchError` when the shapes of the three matrices
+    are inconsistent.
     """
     a = _mm_parse(a_path)
-    b = _mm_parse(b_path)
-    c = _mm_parse(c_path)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    b = read_matrix_market(b_path)
+    c = read_matrix_market(c_path)
+    if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"A must be square, got {a.shape}")
     n = a.shape[0]
     if b.shape[0] != n:
         raise DimensionMismatchError(f"B has {b.shape[0]} rows, expected {n}")
     if c.shape[1] != n:
         raise DimensionMismatchError(f"C has {c.shape[1]} columns, expected {n}")
-    if n > 2 and _is_tridiagonal(a):
-        op = TridiagonalOperator(np.diag(a, -1).copy(), np.diag(a).copy(),
-                                 np.diag(a, 1).copy())
-        return StateSpaceModel(op, b, c)
-    return StateSpaceModel(a, b, c)
+    op = _tridiagonal(a) if n > 2 else None
+    return StateSpaceModel(_dense(a) if op is None else op, b, c)
 
 
 def save_matrix_market(path, matrix) -> None:

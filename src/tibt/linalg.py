@@ -16,12 +16,12 @@ import sys
 import warnings
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
+    DenseInfeasibleError,
     NonHurwitzError,
     NotSymmetricError,
     ShiftSolveFailure,
@@ -33,7 +33,6 @@ __all__ = [
     "LinearOperator",
     "DenseOperator",
     "TridiagonalOperator",
-    "SpdFactor",
     "as_operator",
     "solve_lyapunov_dense",
     "solve_sylvester_skinny",
@@ -324,7 +323,7 @@ class TridiagonalOperator(LinearOperator):
 
     def to_dense(self):
         if self.n > 20_000:
-            raise MemoryError(
+            raise DenseInfeasibleError(
                 f"refusing to densify a {self.n}x{self.n} tridiagonal operator")
         a = np.diag(self._d)
         if self.n > 1:
@@ -342,32 +341,6 @@ def as_operator(a) -> LinearOperator:
     if isinstance(a, LinearOperator):
         return a
     return DenseOperator(a)
-
-
-def quasi_triangular_eigvals(t):
-    """Eigenvalues of a real quasi-upper-triangular (Schur form) matrix."""
-    n = t.shape[0]
-    ev = np.empty(n, dtype=complex)
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            a, b = t[i, i], t[i, i + 1]
-            c, d = t[i + 1, i], t[i + 1, i + 1]
-            mu = 0.5 * (a + d)
-            disc = 0.25 * (a - d) ** 2 + b * c
-            if disc < 0.0:
-                w = np.sqrt(-disc)
-                ev[i] = mu + 1j * w
-                ev[i + 1] = mu - 1j * w
-            else:  # non-standardized block with real eigenvalues
-                w = np.sqrt(disc)
-                ev[i] = mu + w
-                ev[i + 1] = mu - w
-            i += 2
-        else:
-            ev[i] = t[i, i]
-            i += 1
-    return ev
 
 
 def solve_lyapunov_dense(a, g):
@@ -399,12 +372,12 @@ def solve_lyapunov_dense(a, g):
         raise ValueError(f"G must match A, got {g.shape} vs {a.shape}")
 
     t, u = sla.schur(a, output="real")
-    ev = quasi_triangular_eigvals(t)
-    if np.max(ev.real) >= 0.0:
-        raise NonHurwitzError(
-            f"A has an eigenvalue with Re = {np.max(ev.real):.3e} >= 0")
-    pair_sums = np.abs(ev[:, None] + ev[None, :])
-    if np.min(pair_sums) <= 1e-12:
+    # LAPACK gives each 2x2 block equal diagonal entries, so diag(t) holds the
+    # real parts of the eigenvalues, and min |lambda_i + lambda_j| = -2 re_max
+    re_max = np.max(np.diag(t))
+    if re_max >= 0.0:
+        raise NonHurwitzError(f"A has an eigenvalue with Re = {re_max:.3e} >= 0")
+    if -2.0 * re_max <= 1e-12:
         raise SingularSeparationError(
             "eigenvalue pair with lambda_i + lambda_j ~ 0; equation singular")
 
@@ -423,9 +396,9 @@ def solve_lyapunov_dense(a, g):
 def _complex_pair_solve(op, tblock, rhs):
     # Solve A Y + Y T_b^T = -rhs for a standardized 2x2 Schur block T_b with a
     # complex-conjugate eigenvalue pair, using one complex shifted solve.
-    lam = quasi_triangular_eigvals(tblock)[0]
     t11, t12 = tblock[0]
     t21, t22 = tblock[1]
+    lam = t11 + 1j * np.sqrt(-(t12 * t21))
     if abs(t21) >= abs(t12):
         v = np.array([t21, lam - t11], dtype=complex)
     else:
@@ -610,22 +583,9 @@ def extend_orthonormal(q, new, out=None):
     return ext
 
 
-@dataclass(frozen=True)
-class SpdFactor:
-    """Tall factor ``Z`` with ``Z Z^T`` approximating a PSD matrix."""
-
-    z: np.ndarray
-
-    @property
-    def cols(self) -> int:
-        return self.z.shape[1]
-
-    def reconstruct(self) -> np.ndarray:
-        return self.z @ self.z.T
-
-
 def psd_factor(p):
-    """Factor a symmetric positive-semidefinite matrix as ``Z Z^T``.
+    """Factor a symmetric positive-semidefinite matrix as ``Z Z^T`` and
+    return the n-by-k array ``Z``.
 
     Eigenvalues below ``PSD_CLIP_RTOL`` times the largest are clipped to
     zero (round-off may make them slightly negative), so the column count of
@@ -647,9 +607,9 @@ def psd_factor(p):
     w = w[::-1]
     v = v[:, ::-1]
     if w[0] <= 0.0:
-        return SpdFactor(np.zeros((p.shape[0], 0)))
+        return np.zeros((p.shape[0], 0))
     keep = w >= PSD_CLIP_RTOL * w[0]
-    return SpdFactor(v[:, keep] * np.sqrt(w[keep]))
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def ordered_svd(m):

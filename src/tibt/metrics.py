@@ -31,13 +31,15 @@ __all__ = [
 
 DENSE_CAP_DEFAULT = 5000
 
+# Relative bracket width at which golden-section peak refinement stops.
+REFINE_REL_RESOLUTION = 1e-3
+
 
 @dataclass(frozen=True)
 class FreqGrid:
     """Positive frequency samples (rad/s), sorted ascending."""
 
     points: np.ndarray
-    refine_rel_resolution: float = 1e-3
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -48,10 +50,10 @@ class FreqGrid:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def log_spaced(cls, lo: float, hi: float, count: int = 400, **kw) -> "FreqGrid":
+    def log_spaced(cls, lo: float, hi: float, count: int = 400) -> "FreqGrid":
         if not 0 < lo < hi:
             raise ValueError("need 0 < lo < hi")
-        return cls(points=np.logspace(np.log10(lo), np.log10(hi), count), **kw)
+        return cls(points=np.logspace(np.log10(lo), np.log10(hi), count))
 
     @classmethod
     def default_for(cls, model: StateSpaceModel, count: int = 400) -> "FreqGrid":
@@ -138,8 +140,8 @@ def _memoized_response(model):
 
 def _refine_peak(fun, grid: FreqGrid):
     """Sampled peak of ``fun`` over the grid, golden-section refined around
-    the arg-max until the bracket is narrower than the grid's relative
-    resolution. Returns (peak_value, peak_frequency)."""
+    the arg-max down to ``REFINE_REL_RESOLUTION``. Returns (peak_value,
+    peak_frequency)."""
     pts = grid.points
     vals = np.array([fun(w) for w in pts])
     idx = int(np.argmax(vals))
@@ -153,7 +155,7 @@ def _refine_peak(fun, grid: FreqGrid):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(np.exp(c)), fun(np.exp(d))
-    while (np.exp(b) - np.exp(a)) > grid.refine_rel_resolution * np.exp(0.5 * (a + b)):
+    while (np.exp(b) - np.exp(a)) > REFINE_REL_RESOLUTION * np.exp(0.5 * (a + b)):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -59,8 +59,8 @@ SCALE_CLIP_RTOL = 1e-14
 class ReducedModel:
     """Reduced-order model together with the projection pair that made it.
 
-    The stored pair satisfies ``Wr^T Vr = I`` (Petrov-Galerkin). ``converged``
-    and ``iterations`` are populated only by iterative reducers.
+    The stored pair satisfies ``Wr^T Vr = I`` (Petrov-Galerkin). Iterative
+    reducers set ``converged``; only :func:`tsia` sets ``iterations``.
     """
 
     rom: StateSpaceModel
@@ -154,7 +154,7 @@ def bt_from_factors(model: StateSpaceModel, zp, zq, r) -> ReducedModel:
     av = model.A.apply(vr)
     rom = StateSpaceModel(wr.T @ av, wr.T @ model.B, model.C @ vr)
     return ReducedModel(rom=rom, Vr=vr, Wr=wr,
-                        retained_sv=SvReport(values=s[:r].copy(), kind="hankel"))
+                        retained_sv=SvReport(values=s[:r].copy()))
 
 
 def bt_square_root(model: StateSpaceModel, r,
@@ -175,8 +175,8 @@ def bt_square_root(model: StateSpaceModel, r,
     require_hurwitz(model)
     if gramians is None:
         gramians = gramians_dense(model)
-    lp = psd_factor(gramians.P).z
-    lq = psd_factor(gramians.Q).z
+    lp = psd_factor(gramians.P)
+    lq = psd_factor(gramians.Q)
     return bt_from_factors(model, lp, lq, r)
 
 
@@ -189,8 +189,7 @@ def _eig_truncation(model, gram, r):
     vr = t[:, :r]
     red = project(model, vr, vr)  # Galerkin: T^{-T} = T
     return ReducedModel(rom=red.rom, Vr=red.Vr, Wr=red.Wr,
-                        retained_sv=SvReport(values=w[:r].copy(),
-                                             kind="gramian-singular"))
+                        retained_sv=SvReport(values=w[:r].copy()))
 
 
 def tcr(model: StateSpaceModel, r,
@@ -439,7 +438,7 @@ def two_step_lowrank_bt(model: StateSpaceModel, vk, wk, r) -> ReducedModel:
     right = np.linalg.solve(e.T, np.hstack([ad.T, (model.C @ vk).T]))
     pk = solve_lyapunov_dense(left[:, :k], left[:, k:] @ left[:, k:].T)
     qk = solve_lyapunov_dense(right[:, :k], right[:, k:] @ right[:, k:].T)
-    return bt_from_factors(model, vk @ psd_factor(pk).z, wk @ psd_factor(qk).z, r)
+    return bt_from_factors(model, vk @ psd_factor(pk), wk @ psd_factor(qk), r)
 
 
 def h2_optimality_residuals(model: StateSpaceModel, red: ReducedModel) -> dict:

@@ -90,7 +90,6 @@ class SvReport:
     """Ordered singular-value report."""
 
     values: np.ndarray
-    kind: str  # "gramian-singular" or "hankel"
 
 
 @dataclass(frozen=True)
@@ -166,10 +165,10 @@ def hankel_singular_values(model: StateSpaceModel,
     """
     if gramians is None:
         gramians = gramians_dense(model)
-    lp = psd_factor(gramians.P).z
-    lq = psd_factor(gramians.Q).z
+    lp = psd_factor(gramians.P)
+    lq = psd_factor(gramians.Q)
     _, s, _ = ordered_svd(lq.T @ lp)
-    return SvReport(values=s, kind="hankel")
+    return SvReport(values=s)
 
 
 def is_hurwitz(model_or_operator) -> bool:
@@ -196,7 +195,7 @@ def is_hurwitz(model_or_operator) -> bool:
             return top < 0.0
     try:
         a = op.to_dense()
-    except MemoryError as exc:
+    except DenseInfeasibleError as exc:
         raise DenseInfeasibleError(
             f"cannot check that the {op.n}x{op.n} operator is Hurwitz without "
             f"densifying it; construct it with known_hurwitz") from exc

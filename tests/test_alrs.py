@@ -210,7 +210,7 @@ class TestAlrsLyap:
         res = tibt.alrs_lyap(m.A, m.B, AlrsConfig(tol=1e-5, seed=2))
         v = res.factor.basis
         assert np.allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-8)
-        w = np.linalg.eigvalsh(res.core_sym())
+        w = np.linalg.eigvalsh(res.factor.core)
         assert w.min() >= -1e-10 * max(w.max(), 1.0)
 
     @pytest.mark.xfail(

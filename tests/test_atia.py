@@ -82,7 +82,7 @@ class TestAtiaBt:
         m = tibt.StateSpaceModel(hr.A, hr.B, hr.B.T)
         res = tibt.atia_bt(m, AtiaConfig(tol=1e-5, seed=0))
         low = tibt.alrs_lyap(m.A, m.B, tibt.AlrsConfig(tol=1e-5, seed=0))
-        w, v = np.linalg.eigh(low.core_sym())
+        w, v = np.linalg.eigh(low.factor.core)
         v = v[:, ::-1]
         r = min(res.rom.r, low.factor.rank)
         from tibt.reducers import project

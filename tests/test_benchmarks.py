@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,52 @@ class TestMatrixMarket:
         loaded = tibt.load_matrix_market(pa, pb, pc)
         assert isinstance(loaded.A, TridiagonalOperator)
         assert np.allclose(loaded.A.to_dense(), m.A.to_dense())
+
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_tridiagonal_coordinate_loads_without_densifying(self, tmp_path, symmetry):
+        n = 3000
+        rod = tibt.heat_rod(n)
+        h2 = float(n + 1) ** 2
+        entries = [f"{i} {i} {-2.0 * h2!r}" for i in range(1, n + 1)]
+        entries += [f"{i + 1} {i} {h2!r}" for i in range(1, n)]
+        if symmetry == "general":
+            entries += [f"{i} {i + 1} {h2!r}" for i in range(1, n)]
+        pa, pb, pc = (tmp_path / x for x in ("a.mtx", "b.mtx", "c.mtx"))
+        pa.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                      f"{n} {n} {len(entries)}\n" + "\n".join(entries) + "\n")
+        save_matrix_market(pb, rod.B)
+        save_matrix_market(pc, rod.C)
+        tracemalloc.start()
+        try:
+            loaded = tibt.load_matrix_market(pa, pb, pc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # a dense A alone takes 69 MiB
+        assert isinstance(loaded.A, TridiagonalOperator)
+        for band in ("_lo", "_d", "_up"):
+            assert np.array_equal(getattr(loaded.A, band), getattr(rod.A, band))
+
+    def test_coordinate_last_entry_wins(self, tmp_path):
+        pa, pb, pc = (tmp_path / x for x in ("a.mtx", "b.mtx", "c.mtx"))
+        # (1, 2) overrides the mirror of (2, 1), whose own mirror then
+        # overrides it back; (4, 1) is cleared by its later explicit zero
+        pa.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "4 4 8\n"
+            "1 1 -5.0\n2 1 1.0\n1 2 2.0\n2 2 -6.0\n"
+            "4 1 9.0\n3 3 -7.0\n4 1 0.0\n4 4 -1.0\n"
+        )
+        save_matrix_market(pb, np.ones((4, 1)))
+        save_matrix_market(pc, np.ones((1, 4)))
+        expected = np.array([[-5.0, 2.0, 0.0, 0.0],
+                             [2.0, -6.0, 0.0, 0.0],
+                             [0.0, 0.0, -7.0, 0.0],
+                             [0.0, 0.0, 0.0, -1.0]])
+        assert np.array_equal(read_matrix_market(pa), expected)
+        loaded = tibt.load_matrix_market(pa, pb, pc)
+        assert isinstance(loaded.A, TridiagonalOperator)
+        assert np.array_equal(loaded.A.to_dense(), expected)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.mtx"

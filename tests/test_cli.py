@@ -132,6 +132,9 @@ class TestConfigValidation:
          "task": "dense-bt", "r": 1},
         {"model": {"kind": "illustrative4"}, "task": "tcr", "r": 0},
         {"model": {"kind": "illustrative4"}, "task": "tor", "r": "two"},
+        # above the densification limit of a tridiagonal operator
+        *({"model": {"kind": "heat_rod", "n": 30_000}, "task": task, "r": 2}
+          for task in ("dense-bt", "tcr", "tor")),
     ])
     def test_bad_values_exit_one_with_message(self, tmp_path, capsys, body):
         out = tmp_path / "out"

@@ -91,6 +91,51 @@ class TestSolveLyapunovDense:
         with pytest.raises(SingularSeparationError):
             solve_lyapunov_dense(a, np.eye(2))
 
+    @pytest.mark.parametrize("pair", [False, True])
+    @pytest.mark.parametrize("re, singular", [(-5e-13, True), (-6e-13, False)])
+    def test_separation_threshold(self, pair, re, singular):
+        # min |lambda_i + lambda_j| = 2 |Re lambda| meets 1e-12 at Re = -5e-13,
+        # for a real eigenvalue with itself and for a conjugate pair alike
+        a = np.array([[re, 1.0], [-1.0, re]]) if pair else np.diag([re, -1.0])
+        if singular:
+            with pytest.raises(SingularSeparationError):
+                solve_lyapunov_dense(a, np.eye(2))
+        else:
+            p = solve_lyapunov_dense(a, np.eye(2))
+            resid = a @ p + p @ a.T + np.eye(2)
+            assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(a) * np.linalg.norm(p)
+
+    def test_pair_on_imaginary_axis_rejected(self):
+        a = np.array([[0.0, 2.0], [-0.5, 0.0]])
+        with pytest.raises(NonHurwitzError, match=r"Re = 0\.000e\+00 >= 0"):
+            solve_lyapunov_dense(a, np.eye(2))
+
+
+class TestRealSchurStandardized:
+    """The dense solvers read Re lambda off the diagonal of LAPACK's real
+    Schur form, which holds when every 2x2 block has equal diagonal entries
+    and off-diagonal entries of opposite sign."""
+
+    @staticmethod
+    def blocks(a):
+        t = sla.schur(a, output="real")[0]
+        starts = np.flatnonzero(np.diag(t, -1) != 0.0)
+        assert not np.any(np.diff(starts) == 1)  # quasi-triangular
+        return [t[i:i + 2, i:i + 2] for i in starts]
+
+    def test_random_matrices(self):
+        count = 0
+        for n in range(2, 41):
+            a = np.random.default_rng(n).standard_normal((n, n))
+            for blk in self.blocks(a):
+                assert blk[0, 0] == blk[1, 1]
+                assert blk[0, 1] * blk[1, 0] < 0.0
+                count += 1
+        assert count > 100
+
+    def test_heat_rod_has_no_blocks(self):
+        assert self.blocks(heat_rod(50).A.to_dense()) == []
+
 
 class TestSolveSylvesterSkinny:
     def test_scalar(self):
@@ -358,11 +403,11 @@ class TestCgs2:
 
 class TestPsdFactor:
     def test_identity(self):
-        z = psd_factor(np.eye(2)).z
+        z = psd_factor(np.eye(2))
         assert np.allclose(z @ z.T, np.eye(2), atol=1e-14)
 
     def test_exact_rank_deficiency(self):
-        z = psd_factor(np.diag([4.0, 0.0])).z
+        z = psd_factor(np.diag([4.0, 0.0]))
         assert z.shape == (2, 1)
         assert np.allclose(z, [[2.0], [0.0]])
 
@@ -370,14 +415,14 @@ class TestPsdFactor:
         a = np.diag([-0.1, -0.2, -100.0, -200.0])
         b = np.array([[1.0], [1.0], [1.0e4], [1.0]])
         p = solve_lyapunov_dense(a, b @ b.T)
-        z = psd_factor(p).z
+        z = psd_factor(p)
         assert np.linalg.norm(z @ z.T - p) <= 1e-12 * np.linalg.norm(p)
 
     def test_never_increases_rank(self):
         rng = np.random.default_rng(4)
         g = rng.standard_normal((8, 3))
         p = g @ g.T
-        z = psd_factor(p).z
+        z = psd_factor(p)
         assert z.shape[1] <= 3
 
     def test_asymmetric_rejected(self):
@@ -387,7 +432,7 @@ class TestPsdFactor:
 
     def test_clips_roundoff_negatives(self):
         p = np.diag([1.0, -1e-16])
-        z = psd_factor(p).z
+        z = psd_factor(p)
         assert z.shape[1] == 1
 
 
