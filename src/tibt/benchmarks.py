@@ -3,6 +3,10 @@
 The heat-rod generator fixes the input at x ~ 1/3 and the output at x ~ 2/3
 of the domain (the source problem statement leaves the I/O maps open); this
 choice is documented in the README so experiments are reproducible.
+
+Matrix Market files of both formats are streamed once into one entry form
+(index and value arrays), from which a dense array or, for a tridiagonal
+``A``, a :class:`TridiagonalOperator` is built; memory is O(entries).
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ def illustrative4() -> StateSpaceModel:
 
 
 class _Entries(NamedTuple):
-    """Entries of a coordinate file: 0-based indices and values, one per
+    """Entries of a Matrix Market file: 0-based indices and values, one per
     position."""
 
     shape: tuple
@@ -96,18 +100,30 @@ class _Entries(NamedTuple):
 
 def _mm_parse(path):
     """Parse one Matrix Market file (coordinate or array; general or
-    symmetric; real entries).
+    symmetric; real or integer entries) into its :class:`_Entries`.
 
-    An array file gives a dense array. A coordinate file gives its
-    :class:`_Entries`, the mirror images of a symmetric file's off-diagonal
-    entries included; where several entries fall on one position, the one
-    written last wins.
+    The file is streamed once into index and value arrays sized from its
+    size line, so memory is O(entries). Array values fill their positions
+    column by column (the lower triangle of a symmetric file). The mirror
+    images of a symmetric file's off-diagonal entries are included; where
+    several entries fall on one position, the one written last wins. The
+    entry count is checked at the end of the file, after the entries it
+    covers. A :class:`ParseError` names ``path``.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines:
+        try:
+            return _mm_entries(fh)
+        except ParseError as exc:
+            exc.path = path
+            raise
+
+
+def _mm_entries(fh):
+    """The :class:`_Entries` of an open Matrix Market file."""
+    header = fh.readline()
+    if not header:
         raise ParseError("empty file", line=1)
-    header = lines[0].strip().split()
+    header = header.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket":
         raise ParseError("expected '%%MatrixMarket object format field symmetry'",
                          line=1)
@@ -121,29 +137,36 @@ def _mm_parse(path):
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"unsupported symmetry '{symmetry}'", line=1)
 
-    data = [(i + 1, ln.strip()) for i, ln in enumerate(lines[1:], start=1)
-            if ln.strip() and not ln.lstrip().startswith("%")]
-    if not data:
-        raise ParseError("missing size line", line=len(lines))
+    size_lineno = 1
+    for size_lineno, line in enumerate(fh, start=2):
+        if line.lstrip()[:1] not in ("", "%"):  # neither blank nor a comment
+            break
+    else:
+        raise ParseError("missing size line", line=size_lineno)
+    coordinate = fmt == "coordinate"
+    sizes = line.split()
+    if len(sizes) != (3 if coordinate else 2):
+        raise ParseError("coordinate size line needs 'rows cols nnz'" if coordinate
+                         else "array size line needs 'rows cols'", line=size_lineno)
+    try:
+        rows, cols, *nnz = (int(tok) for tok in sizes)
+    except ValueError:
+        raise ParseError("non-integer size entry", line=size_lineno) from None
+    if min(rows, cols, *nnz) < 0:
+        raise ParseError("negative size entry", line=size_lineno)
+    if symmetry == "symmetric" and rows != cols:
+        raise ParseError(f"symmetric {fmt} matrix must be square", line=size_lineno)
+    count = (nnz[0] if coordinate else rows * cols if symmetry == "general"
+             else rows * (rows + 1) // 2)
 
-    size_lineno, size_line = data[0]
-    sizes = size_line.split()
-    if fmt == "coordinate":
-        if len(sizes) != 3:
-            raise ParseError("coordinate size line needs 'rows cols nnz'",
-                             line=size_lineno)
-        try:
-            rows, cols, nnz = (int(tok) for tok in sizes)
-        except ValueError:
-            raise ParseError("non-integer size entry", line=size_lineno) from None
-        if len(data) - 1 != nnz:
-            raise ParseError(f"expected {nnz} entries, found {len(data) - 1}",
-                             line=size_lineno)
-        ii = np.empty(nnz, dtype=np.int64)
-        jj = np.empty(nnz, dtype=np.int64)
-        vv = np.empty(nnz)
-        for k, (lineno, entry) in enumerate(data[1:]):
-            toks = entry.split()
+    ii, jj = np.empty((2, count), dtype=np.int64)
+    vv = np.empty(count)
+    found = 0
+    for lineno, line in enumerate(fh, start=size_lineno + 1):
+        if line.lstrip()[:1] in ("", "%"):
+            continue
+        if found < count and coordinate:
+            toks = line.split()
             if len(toks) != 3:
                 raise ParseError("coordinate entry needs 'i j value'", line=lineno)
             try:
@@ -152,59 +175,35 @@ def _mm_parse(path):
                 raise ParseError("malformed coordinate entry", line=lineno) from None
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise ParseError(f"index ({i}, {j}) out of bounds", line=lineno)
-            ii[k], jj[k], vv[k] = i - 1, j - 1, v
-        if symmetry == "symmetric":
-            # each off-diagonal entry is written, then its mirror image
-            keep = np.column_stack([np.ones(nnz, dtype=bool), ii != jj]).ravel()
-            ii, jj = (np.column_stack([ii, jj]).ravel()[keep],
-                      np.column_stack([jj, ii]).ravel()[keep])
-            vv = np.repeat(vv, 2)[keep]
-        # the last write to a position is the first of the reversed sequence
-        _, first = np.unique((ii * cols + jj)[::-1], return_index=True)
-        last = len(ii) - 1 - first
-        return _Entries((rows, cols), ii[last], jj[last], vv[last])
-    else:
-        if len(sizes) != 2:
-            raise ParseError("array size line needs 'rows cols'", line=size_lineno)
-        try:
-            rows, cols = (int(tok) for tok in sizes)
-        except ValueError:
-            raise ParseError("non-integer size entry", line=size_lineno) from None
-        if symmetry == "symmetric" and rows != cols:
-            raise ParseError("symmetric array matrix must be square",
-                             line=size_lineno)
-        expected = rows * cols if symmetry == "general" \
-            else rows * (rows + 1) // 2
-        if len(data) - 1 != expected:
-            raise ParseError(f"expected {expected} values, found {len(data) - 1}",
-                             line=size_lineno)
-        mat = np.zeros((rows, cols))
-        it = iter(data[1:])
-        if symmetry == "general":
-            for j in range(cols):
-                for i in range(rows):
-                    lineno, entry = next(it)
-                    try:
-                        mat[i, j] = float(entry)
-                    except ValueError:
-                        raise ParseError("malformed value", line=lineno) from None
-        else:
-            for j in range(cols):
-                for i in range(j, rows):
-                    lineno, entry = next(it)
-                    try:
-                        v = float(entry)
-                    except ValueError:
-                        raise ParseError("malformed value", line=lineno) from None
-                    mat[i, j] = v
-                    mat[j, i] = v
-    return mat
+            ii[found], jj[found], vv[found] = i - 1, j - 1, v
+        elif found < count:
+            try:
+                vv[found] = float(line)
+            except ValueError:
+                raise ParseError("malformed value", line=lineno) from None
+        found += 1
+    if found != count:
+        raise ParseError(f"expected {count} {'entries' if coordinate else 'values'}, "
+                         f"found {found}", line=size_lineno)
+
+    if not coordinate and symmetry == "general":
+        np.divmod(np.arange(count), rows, out=(jj, ii))
+    elif not coordinate:
+        jj[:], ii[:] = np.triu_indices(rows)  # the lower triangle, column by column
+    if symmetry == "symmetric":
+        # each off-diagonal entry is written, then its mirror image
+        keep = np.column_stack([np.ones(count, dtype=bool), ii != jj]).ravel()
+        ii, jj = (np.column_stack([ii, jj]).ravel()[keep],
+                  np.column_stack([jj, ii]).ravel()[keep])
+        vv = np.repeat(vv, 2)[keep]
+    # the last write to a position is the first of the reversed sequence
+    _, first = np.unique((ii * cols + jj)[::-1], return_index=True)
+    last = len(ii) - 1 - first
+    return _Entries((rows, cols), ii[last], jj[last], vv[last])
 
 
 def _dense(parsed):
     """The dense array of a :func:`_mm_parse` result."""
-    if isinstance(parsed, np.ndarray):
-        return parsed
     mat = np.zeros(parsed.shape)
     mat[parsed.i, parsed.j] = parsed.v
     return mat
@@ -217,13 +216,8 @@ def read_matrix_market(path) -> np.ndarray:
 
 def _tridiagonal(parsed):
     """The :class:`TridiagonalOperator` of a square :func:`_mm_parse` result
-    whose nonzeros all lie on the three central diagonals, else None. A
-    coordinate result is checked and copied in O(nnz)."""
-    if isinstance(parsed, np.ndarray):
-        bands = [np.diag(parsed, k).copy() for k in (-1, 0, 1)]
-        if sum(map(np.count_nonzero, bands)) != np.count_nonzero(parsed):
-            return None
-        return TridiagonalOperator(*bands)
+    whose nonzeros all lie on the three central diagonals, else None;
+    checked and copied in O(entries)."""
     (n, _), i, j, v = parsed
     offset = j - i
     if np.any(np.abs(offset[v != 0.0]) > 1):

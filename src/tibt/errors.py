@@ -52,11 +52,17 @@ class DimensionMismatchError(TibtError):
 class ParseError(TibtError):
     """A Matrix Market file could not be parsed.
 
-    Carries the 1-based line number of the offending line in ``line``.
+    Carries the 1-based line number of the offending line in ``line`` and
+    the file's ``path``, which the reader sets; both prefix the message.
     """
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.path = None
+
+    def __str__(self):
+        where = [] if self.path is None else [str(self.path)]
+        if self.line is not None:
+            where.append(f"line {self.line}")
+        return ": ".join([*where, super().__str__()])

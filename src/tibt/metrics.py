@@ -17,7 +17,6 @@ import numpy as np
 
 from .alrs import LowRankGramian
 from .errors import DenseInfeasibleError, DimensionMismatchError
-from .linalg import solve_lyapunov_dense
 from .reducers import ReducedModel
 from .system import GramianPair, StateSpaceModel, eval_transfer, gramians_dense
 
@@ -110,10 +109,8 @@ def pq_rel_error(model: StateSpaceModel, red: ReducedModel,
     if model.n > dense_cap:
         raise DenseInfeasibleError(f"n = {model.n} exceeds dense cap {dense_cap}")
     gram = gramians_dense(model) if gramians is None else gramians
-    ar = red.rom.A.to_dense()
-    pr = solve_lyapunov_dense(ar, red.rom.B @ red.rom.B.T)
-    qr = solve_lyapunov_dense(ar.T, red.rom.C.T @ red.rom.C)
-    approx = (red.Vr @ pr @ red.Vr.T) @ (red.Wr @ qr @ red.Wr.T)
+    rom_gram = gramians_dense(red.rom)
+    approx = (red.Vr @ rom_gram.P @ red.Vr.T) @ (red.Wr @ rom_gram.Q @ red.Wr.T)
     exact = gram.P @ gram.Q
     num = np.linalg.norm(exact - approx, 2)
     den = np.linalg.norm(exact, 2)

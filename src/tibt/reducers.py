@@ -450,9 +450,8 @@ def h2_optimality_residuals(model: StateSpaceModel, red: ReducedModel) -> dict:
     """
     rom = red.rom
     pair = solve_coupling_pair(model, rom)
-    ar = rom.A.to_dense()
-    pr = solve_lyapunov_dense(ar, rom.B @ rom.B.T)
-    qr = solve_lyapunov_dense(ar.T, rom.C.T @ rom.C)
+    rom_gram = gramians_dense(rom)
+    pr, qr = rom_gram.P, rom_gram.Q
 
     def _rel(lhs, ref):
         return float(np.linalg.norm(lhs) / max(np.linalg.norm(ref),

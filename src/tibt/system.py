@@ -57,6 +57,8 @@ class StateSpaceModel:
             raise ValueError(f"C must have {self.A.n} columns, got {c.shape}")
         if b.shape[1] < 1 or c.shape[0] < 1:
             raise ValueError("input and output counts must be >= 1")
+        if not (np.isfinite(b).all() and np.isfinite(c).all()):
+            raise ValueError("B and C entries must be finite")
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
 

@@ -94,6 +94,33 @@ class TestConstructorsHurwitz:
         assert tibt.is_hurwitz(model)
 
 
+def _write_rod_files(tmp_path, n, symmetry):
+    """Write ``heat_rod(n)`` as a tridiagonal coordinate A (lower triangle
+    only when symmetric) and array-format B and C; return the rod and paths."""
+    rod = tibt.heat_rod(n)
+    h2 = float(n + 1) ** 2
+    entries = [f"{i} {i} {-2.0 * h2!r}" for i in range(1, n + 1)]
+    entries += [f"{i + 1} {i} {h2!r}" for i in range(1, n)]
+    if symmetry == "general":
+        entries += [f"{i} {i + 1} {h2!r}" for i in range(1, n)]
+    pa, pb, pc = (tmp_path / x for x in ("a.mtx", "b.mtx", "c.mtx"))
+    pa.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                  f"{n} {n} {len(entries)}\n" + "\n".join(entries) + "\n")
+    save_matrix_market(pb, rod.B)
+    save_matrix_market(pc, rod.C)
+    return rod, (pa, pb, pc)
+
+
+def _traced_load(paths):
+    """Load a model and return it with the traced allocation peak in bytes."""
+    tracemalloc.start()
+    try:
+        loaded = tibt.load_matrix_market(*paths)
+        return loaded, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMatrixMarket:
     def test_round_trip_bitwise(self, tmp_path):
         m = tibt.illustrative4()
@@ -140,28 +167,22 @@ class TestMatrixMarket:
 
     @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
     def test_tridiagonal_coordinate_loads_without_densifying(self, tmp_path, symmetry):
-        n = 3000
-        rod = tibt.heat_rod(n)
-        h2 = float(n + 1) ** 2
-        entries = [f"{i} {i} {-2.0 * h2!r}" for i in range(1, n + 1)]
-        entries += [f"{i + 1} {i} {h2!r}" for i in range(1, n)]
-        if symmetry == "general":
-            entries += [f"{i} {i + 1} {h2!r}" for i in range(1, n)]
-        pa, pb, pc = (tmp_path / x for x in ("a.mtx", "b.mtx", "c.mtx"))
-        pa.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
-                      f"{n} {n} {len(entries)}\n" + "\n".join(entries) + "\n")
-        save_matrix_market(pb, rod.B)
-        save_matrix_market(pc, rod.C)
-        tracemalloc.start()
-        try:
-            loaded = tibt.load_matrix_market(pa, pb, pc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rod, paths = _write_rod_files(tmp_path, 3000, symmetry)
+        loaded, peak = _traced_load(paths)
         assert peak < 16 * 2**20  # a dense A alone takes 69 MiB
         assert isinstance(loaded.A, TridiagonalOperator)
         for band in ("_lo", "_d", "_up"):
             assert np.array_equal(getattr(loaded.A, band), getattr(rod.A, band))
+
+    def test_files_stream_without_keeping_lines(self, tmp_path):
+        # about 4e4 lines, which would take about 7 MiB if kept as strings
+        rod, paths = _write_rod_files(tmp_path, 10**4, "symmetric")
+        loaded, peak = _traced_load(paths)
+        assert peak < 4 * 2**20
+        for band in ("_lo", "_d", "_up"):
+            assert np.array_equal(getattr(loaded.A, band), getattr(rod.A, band))
+        assert np.array_equal(loaded.B, rod.B)
+        assert np.array_equal(loaded.C, rod.C)
 
     def test_coordinate_last_entry_wins(self, tmp_path):
         pa, pb, pc = (tmp_path / x for x in ("a.mtx", "b.mtx", "c.mtx"))
@@ -213,6 +234,85 @@ class TestMatrixMarket:
         with pytest.raises(ParseError) as err:
             read_matrix_market(path)
         assert err.value.line == 3
+
+    def test_symmetric_array_lower_triangle_order(self, tmp_path):
+        path = tmp_path / "sym.mtx"
+        path.write_text("%%MatrixMarket matrix array real symmetric\n4 4\n"
+                        + "".join(f"{k}\n" for k in range(1, 11)))
+        expected = np.array([[1.0, 2.0, 3.0, 4.0],
+                             [2.0, 5.0, 6.0, 7.0],
+                             [3.0, 6.0, 8.0, 9.0],
+                             [4.0, 7.0, 9.0, 10.0]])
+        assert np.array_equal(read_matrix_market(path), expected)
+
+    def test_integer_field(self, tmp_path):
+        path = tmp_path / "int.mtx"
+        path.write_text("%%MatrixMarket matrix array integer general\n"
+                        "2 2\n1\n-2\n3\n4\n")
+        mat = read_matrix_market(path)
+        assert mat.dtype == np.float64
+        assert np.array_equal(mat, [[1.0, 3.0], [-2.0, 4.0]])
+
+    @pytest.mark.parametrize("text, message", [
+        ("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 2 2.0\n",
+         "expected 3 entries, found 2"),
+        ("%%MatrixMarket matrix array real general\n1 2\n1\n% note\n2\n\n3\n4\n",
+         "expected 2 values, found 4"),
+    ], ids=["too-few-entries", "too-many-values"])
+    def test_count_mismatch_reported_at_size_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"line 2: {message}$") as err:
+            read_matrix_market(path)
+        assert err.value.line == 2
+
+    def test_malformed_entry_reported_before_count(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 1\n1\nx\n3\n")
+        with pytest.raises(ParseError, match="malformed value") as err:
+            read_matrix_market(path)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("", "empty file", 1),
+        ("%%MatrixMarket matrix array real general\n% no sizes\n\n",
+         "missing size line", 3),
+    ], ids=["empty", "no-size-line"])
+    def test_file_without_data_rejected(self, tmp_path, text, message, line):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message) as err:
+            read_matrix_market(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix coordinate real general\n-1 2 0\n",
+        "%%MatrixMarket matrix array real general\n-2 -3\n",
+    ], ids=["coordinate", "array"])
+    def test_negative_size_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="negative size entry") as err:
+            read_matrix_market(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("fmt, data", [("array", "3 2"),
+                                           ("coordinate", "3 2 1\n3 1 1.0")])
+    def test_non_square_symmetric_rejected(self, tmp_path, fmt, data):
+        path = tmp_path / "bad.mtx"
+        path.write_text(f"%%MatrixMarket matrix {fmt} real symmetric\n{data}\n")
+        message = f"symmetric {fmt} matrix must be square"
+        with pytest.raises(ParseError, match=message) as err:
+            read_matrix_market(path)
+        assert err.value.line == 2
+
+    def test_parse_error_names_the_file(self, tmp_path):
+        path = tmp_path / "b.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0\n")
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(path)
+        assert str(err.value) == f"{path}: line 2: expected 2 values, found 1"
+        assert err.value.line == 2
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         pa, pb, pc = (tmp_path / x for x in ("a.mtx", "b.mtx", "c.mtx"))

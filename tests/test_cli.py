@@ -25,6 +25,15 @@ def read_csv(path):
     return header, rows
 
 
+def write_matrix_market(tmp_path, a, b, c):
+    """Save A, B and C as Matrix Market files; return the config's model."""
+    paths = {}
+    for name, matrix in (("a", a), ("b", b), ("c", c)):
+        paths[f"{name}_path"] = str(tmp_path / f"{name}.mtx")
+        tibt.save_matrix_market(paths[f"{name}_path"], matrix)
+    return {"kind": "matrix_market", **paths}
+
+
 class TestRunDenseBt:
     def test_modal_example_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -240,6 +249,35 @@ class TestConfigValidation:
         assert main(["run", cfg]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("body", [
+        {"task": "dense-bt", "r": 4},
+        {"task": "solve-lyap"},
+        {"task": "atia-bt", "alg": {"tol": 1e-4}},
+    ], ids=lambda body: body["task"])
+    def test_non_finite_input_matrix_exits_one(self, tmp_path, capsys, body):
+        rod = tibt.heat_rod(50)
+        b = rod.B.copy()
+        b[3] = np.nan
+        out = tmp_path / "out"
+        model = write_matrix_market(tmp_path, rod.A.to_dense(), b, rod.C)
+        cfg = write_config(tmp_path, model=model, output_dir=str(out), **body)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model matrix_market: B and C entries must be finite")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_parse_error_names_the_file(self, tmp_path, capsys):
+        rod = tibt.heat_rod(50)
+        model = write_matrix_market(tmp_path, rod.A.to_dense(), rod.B, rod.C)
+        with open(model["b_path"], "w", encoding="ascii") as fh:
+            fh.write("%%MatrixMarket matrix array real general\n50 1\n1.0\n")
+        cfg = write_config(tmp_path, model=model, task="dense-bt", r=4,
+                           output_dir=str(tmp_path / "out"))
+        assert main(["run", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model['b_path']}: line 2: expected 50 values, found 1\n")
 
     @pytest.mark.parametrize("key", ["a_path", "b_path", "c_path"])
     @pytest.mark.parametrize("value", [12345, None, ["a.mtx"]])
