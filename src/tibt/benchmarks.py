@@ -108,9 +108,11 @@ def _mm_parse(path):
     images of a symmetric file's off-diagonal entries are included; where
     several entries fall on one position, the one written last wins. The
     entry count is checked at the end of the file, after the entries it
-    covers. A :class:`ParseError` names ``path``.
+    covers. A :class:`ParseError` names ``path``. A byte outside ASCII
+    decodes to a lone surrogate, which no number or keyword contains: it is
+    ignored in a ``%`` comment and malforms any other line.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         try:
             return _mm_entries(fh)
         except ParseError as exc:

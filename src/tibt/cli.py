@@ -2,9 +2,9 @@
 
 Reads a JSON experiment config, runs one task (a Lyapunov solve, a reducer,
 or an adaptive-vs-dense comparison) and writes CSV artifacts plus a
-``run.json`` echo of the resolved configuration. Unknown config keys are
-rejected; nothing is written until the run finished, so a failing run never
-leaves partial CSVs behind.
+``run.json`` echo of the resolved configuration. Config keys the task does
+not read are rejected; nothing is written until the run finished, so a
+failing run never leaves partial CSVs behind.
 
 Exit codes: 0 success, 1 input or algorithm error, 2 finished without
 convergence (artifacts are still written).
@@ -24,12 +24,10 @@ from . import benchmarks
 from .alrs import AlrsConfig, alrs_lyap
 from .atia import atia_bt, atia_hsv_compare
 from .errors import TibtError
-from .linalg import flushes_subnormals
+from .linalg import flushes_subnormals, solve_lyapunov_dense
 from .metrics import DENSE_CAP_DEFAULT, FreqGrid, gramian_rel_error, hinf_rel_error, pq_rel_error
 from .reducers import bt_square_root, h2_optimality_residuals, tcr, tor, tsia
 from .system import gramians_dense, hankel_singular_values
-
-TASKS = ("solve-lyap", "atia-bt", "dense-bt", "tcr", "tor", "tsia", "compare")
 
 _MODEL_KEYS = {
     "heat_rod": {"n"},
@@ -38,8 +36,20 @@ _MODEL_KEYS = {
     "matrix_market": {"a_path", "b_path", "c_path"},
 }
 
-_TOP_KEYS = {"model", "task", "r", "alg", "tols", "output_dir", "dense_cap",
-             "seed", "side", "grid_points"}
+# The top-level keys each task reads besides model, task, seed and
+# output_dir, and those of them it requires. Any other key is rejected, so
+# none is silently ignored.
+_TASK_KEYS = {
+    "solve-lyap": ({"alg", "side", "dense_cap"}, set()),
+    "atia-bt": ({"alg", "dense_cap", "grid_points"}, set()),
+    "dense-bt": ({"r", "dense_cap", "grid_points"}, {"r"}),
+    "tcr": ({"r", "dense_cap", "grid_points"}, {"r"}),
+    "tor": ({"r", "dense_cap", "grid_points"}, {"r"}),
+    "tsia": ({"r", "dense_cap"}, {"r"}),
+    "compare": ({"tols", "alg", "dense_cap", "grid_points"}, {"tols"}),
+}
+
+TASKS = tuple(_TASK_KEYS)
 
 _ALG_KEYS = {"r0", "dr", "tol", "i_max", "k_max", "seed", "stage_tol"}
 
@@ -62,11 +72,17 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    if "task" not in raw or raw["task"] not in TASKS:
+    task = raw.get("task")
+    if task not in TASKS:
         raise ConfigError(f"{path}: 'task' must be one of {TASKS}")
+    reads, requires = _TASK_KEYS[task]
+    reads = reads | {"model", "task", "seed", "output_dir"}
+    if set(raw) - reads:
+        raise ConfigError(f"{path}: task {task!r} does not read "
+                          f"{sorted(set(raw) - reads)}; it reads {sorted(reads)}")
+    missing = requires - set(raw)
+    if missing:
+        raise ConfigError(f"{path}: task {task!r} requires {sorted(missing)}")
     if "model" not in raw or not isinstance(raw["model"], dict):
         raise ConfigError(f"{path}: 'model' object is required")
     model = dict(raw["model"])
@@ -81,12 +97,14 @@ def load_config(path) -> dict:
     if missing:
         raise ConfigError(f"{path}: model keys missing: {sorted(missing)}")
     alg = raw.get("alg", {})
-    if not isinstance(alg, dict) or set(alg) - _ALG_KEYS:
-        raise ConfigError(f"{path}: 'alg' accepts keys {sorted(_ALG_KEYS)}")
-    if raw["task"] in ("dense-bt", "tcr", "tor", "tsia") and "r" not in raw:
-        raise ConfigError(f"{path}: task {raw['task']!r} requires 'r'")
-    if raw["task"] == "compare" and "tols" not in raw:
-        raise ConfigError(f"{path}: task 'compare' requires a 'tols' list")
+    if not isinstance(alg, dict):
+        raise ConfigError(f"{path}: 'alg' must be an object, got {alg!r}")
+    alg_keys = _ALG_KEYS - {"tol"} if task == "compare" else _ALG_KEYS  # tols set it
+    if set(alg) - alg_keys:
+        raise ConfigError(f"{path}: task {task!r} does not read 'alg' keys "
+                          f"{sorted(set(alg) - alg_keys)}; it reads {sorted(alg_keys)}")
+    if raw.get("side", "p") not in ("p", "q"):
+        raise ConfigError(f"{path}: 'side' must be 'p' or 'q', got {raw['side']!r}")
     tols = raw.get("tols")
     if tols is not None and not (
             isinstance(tols, list) and tols
@@ -126,19 +144,25 @@ def build_model(cfg, seed):
     # the constructors validate sizes and entries with ValueError
     try:
         if kind == "heat_rod":
-            return benchmarks.heat_rod(model["n"])
-        if kind == "random_stable":
-            return benchmarks.random_stable(model["n"], model["m"], model["p"],
-                                            model.get("seed", seed))
-        if kind == "illustrative4":
-            return benchmarks.illustrative4()
-        return benchmarks.load_matrix_market(model["a_path"], model["b_path"],
-                                             model["c_path"])
+            built = benchmarks.heat_rod(model["n"])
+        elif kind == "random_stable":
+            built = benchmarks.random_stable(model["n"], model["m"], model["p"],
+                                             model.get("seed", seed))
+        elif kind == "illustrative4":
+            built = benchmarks.illustrative4()
+        else:
+            built = benchmarks.load_matrix_market(model["a_path"], model["b_path"],
+                                                  model["c_path"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model {kind}: {exc}") from exc
     except OSError as exc:  # a missing or unreadable Matrix Market file
         where = f"{exc.filename}: " if exc.filename else ""
         raise ConfigError(f"model {kind}: {where}{exc.strerror or exc}") from exc
+    # a zero transfer function has no Hankel values to reduce by
+    for name, mat in (("B", built.B), ("C", built.C)):
+        if not mat.any():
+            raise ConfigError(f"model {kind}: {name} has no nonzero entry")
+    return built
 
 
 def _alg_config(cfg, seed, tol=None):
@@ -200,17 +224,13 @@ def run_task(cfg, seed, out_dir):
     code = 0
 
     if task == "solve-lyap":
-        side = cfg.get("side", "p")
-        if side not in ("p", "q"):
-            raise ConfigError("'side' must be 'p' or 'q'")
-        work = model if side == "p" else model.dual()
+        work = model if cfg.get("side", "p") == "p" else model.dual()
         result = alrs_lyap(work.A, work.B, _alg_config(cfg, seed))
         artifacts["hsv.csv"] = (("index", "value"), _hsv_rows(result.values))
         err_rows = [("lyapunov_residual", _fmt(result.residual),
                      str(result.factor.rank))]
         if dense_ok:
-            gram = gramians_dense(model)
-            exact = gram.P if side == "p" else gram.Q
+            exact = solve_lyapunov_dense(work.A.to_dense(), work.B @ work.B.T)
             err_rows.append(("gramian_rel_error",
                              _fmt(gramian_rel_error(exact, result.factor)),
                              str(result.factor.rank)))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import ctypes
 import os
 import sys
-import warnings
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 
@@ -184,19 +183,25 @@ class DenseOperator(LinearOperator):
         return self._m.T @ x
 
     def shifted_solve(self, s, b):
+        """Solve ``(A - s I) x = b`` by LAPACK LU, ``getrf`` then ``getrs``
+        (on several threads OpenBLAS's ``gesv`` rounds differently); a 1x1
+        operator divides."""
         s = complex(s)
+        b = np.asarray(b)
         real = s.imag == 0.0 and not np.iscomplexobj(b)
         shift = s.real if real else s
         a = self._m - shift * np.eye(self.n, dtype=float if real else complex)
-        try:
-            # singularity surfaces as non-finite entries; scipy's warning is
-            # redundant with the check below
-            with warnings.catch_warnings(), np.errstate(divide="ignore",
-                                                        invalid="ignore"):
-                warnings.simplefilter("ignore")
-                x = sla.solve(a, b)
-        except sla.LinAlgError as exc:
-            raise ShiftSolveFailure(f"(A - sI) singular for s = {s}") from exc
+        if self.n == 1:
+            if a[0, 0] == 0:
+                raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
+            x = b / a[0, 0]
+        else:
+            getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (a, b))
+            lu, piv, info = getrf(a, overwrite_a=True)
+            if info == 0:
+                x, info = getrs(lu, piv, b)
+            if info != 0:
+                raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
         return _check_solution_finite(x)
 
     def transpose(self):

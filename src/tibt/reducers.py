@@ -168,11 +168,10 @@ def bt_square_root(model: StateSpaceModel, r,
     Raises
     ------
     NonHurwitzError
-        If the model is unstable.
+        If the model is unstable (raised by :func:`~tibt.system.gramians_dense`).
     SingularValueTieError
         If ``sigma_r`` and ``sigma_{r+1}`` coincide to 1e-12 relative.
     """
-    require_hurwitz(model)
     if gramians is None:
         gramians = gramians_dense(model)
     lp = psd_factor(gramians.P)
@@ -181,7 +180,6 @@ def bt_square_root(model: StateSpaceModel, r,
 
 
 def _eig_truncation(model, gram, r):
-    require_hurwitz(model)
     w, t = np.linalg.eigh(gram)
     w = w[::-1]
     t = t[:, ::-1]
@@ -370,11 +368,13 @@ def tsia(model: StateSpaceModel, init, max_iter=200, conv_tol=1e-8) -> ReducedMo
     """Two-sided Sylvester iteration toward the H2-optimality conditions.
 
     Starting from ``init`` (a :class:`ReducedModel` or a bare
-    :class:`StateSpaceModel` of order r), each sweep solves the coupling
-    Sylvester pair and projects with ``Vr = Phat``, ``Wr = Qhat``. Iteration
-    stops when the chordal change of the sorted ROM poles drops below
-    ``conv_tol``. On ``max_iter`` exhaustion the best iterate seen is
-    returned with ``converged=False``.
+    :class:`StateSpaceModel` of order r), each sweep reflects ROM poles with
+    Re >= 0, then interpolates ``model`` at their mirror images along the
+    ROM's residual directions (:func:`tangential_interpolate`), so the order
+    drops to the smaller rank of its two bases. Iteration stops when the
+    chordal change of the sorted ROM poles drops below ``conv_tol``. On
+    ``max_iter`` exhaustion the best iterate seen is returned with
+    ``converged=False``.
     """
     require_hurwitz(model)
     rom = init.rom if isinstance(init, ReducedModel) else init
@@ -383,13 +383,9 @@ def tsia(model: StateSpaceModel, init, max_iter=200, conv_tol=1e-8) -> ReducedMo
     best = None
     best_change = np.inf
     for it in range(1, max_iter + 1):
-        ar0 = rom.A.to_dense()
-        ar = reflect_spectrum(ar0, floor=0.0)
-        if ar is not ar0:
-            rom = StateSpaceModel(ar, rom.B, rom.C)
-        pair = solve_coupling_pair(model, rom)
-        red = project(model, _well_scaled_basis(pair.Phat),
-                      _well_scaled_basis(pair.Qhat))
+        ar = reflect_spectrum(rom.A.to_dense(), floor=0.0)
+        red = tangential_interpolate(model, InterpolationData(
+            Sb=-ar.T, Lb=rom.B.T, Sc=-ar, Lc=rom.C))
         rom = red.rom
         new_poles = np.linalg.eigvals(rom.A.to_dense())
         change = _pole_change(new_poles, poles)

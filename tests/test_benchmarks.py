@@ -314,6 +314,23 @@ class TestMatrixMarket:
         assert str(err.value) == f"{path}: line 2: expected 2 values, found 1"
         assert err.value.line == 2
 
+    def test_non_ascii_comment_ignored(self, tmp_path):
+        path = tmp_path / "b.mtx"
+        path.write_bytes("%%MatrixMarket matrix array real general\n% café\n"
+                         "2 1\n1.0\n2.0\n".encode("utf-8"))
+        assert np.array_equal(read_matrix_market(path), [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("fmt, data, message", [
+        ("array", "2 1\n1.0\n2.0é\n", "malformed value"),
+        ("coordinate", "2 1 2\n1 1 1.0\n2 1 é\n", "malformed coordinate entry"),
+    ], ids=["array", "coordinate"])
+    def test_non_ascii_data_line_rejected(self, tmp_path, fmt, data, message):
+        path = tmp_path / "b.mtx"
+        path.write_bytes(f"%%MatrixMarket matrix {fmt} real general\n{data}".encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(path)
+        assert str(err.value) == f"{path}: line 4: {message}"
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         pa, pb, pc = (tmp_path / x for x in ("a.mtx", "b.mtx", "c.mtx"))
         save_matrix_market(pa, np.diag([-1.0, -2.0]))

@@ -90,6 +90,22 @@ class TestProducedOrder:
         assert capsys.readouterr().err.startswith(
             "warning: tsia produced order 4, not the requested r = 9")
 
+    def test_tsia_order_capped_at_sylvester_rank(self, tmp_path, capsys):
+        # B excites two of the five modes: one coupling Sylvester solution
+        # has rank 2, the other rank 4
+        b = np.array([[1.0], [1.0], [0.0], [0.0], [0.0]])
+        model = write_matrix_market(tmp_path, np.diag(-np.arange(1.0, 6.0)), b,
+                                    np.ones((1, 5)))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model=model, task="tsia", r=4,
+                           output_dir=str(out))
+        assert main(["run", cfg]) == 0
+        _, err_rows = read_csv(out / "errors.csv")
+        assert {row[2] for row in err_rows} == {"2"}
+        assert max(float(row[1]) for row in err_rows) <= 1e-12
+        assert capsys.readouterr().err.startswith(
+            "warning: tsia produced order 2, not the requested r = 4")
+
     def test_unclamped_order_is_silent(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, model={"kind": "illustrative4"},
@@ -268,6 +284,27 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("zero", ["B", "C"])
+    @pytest.mark.parametrize("body", [
+        {"task": "solve-lyap"},
+        {"task": "atia-bt"},
+        {"task": "dense-bt", "r": 4},
+        {"task": "tcr", "r": 4},
+        {"task": "tor", "r": 4},
+        {"task": "tsia", "r": 4},
+        {"task": "compare", "tols": [1e-3]},
+    ], ids=lambda body: body["task"])
+    def test_zero_input_or_output_matrix_exits_one(self, tmp_path, capsys, body, zero):
+        rod = tibt.heat_rod(30)
+        b, c = (0.0 * rod.B, rod.C) if zero == "B" else (rod.B, 0.0 * rod.C)
+        out = tmp_path / "out"
+        model = write_matrix_market(tmp_path, rod.A.to_dense(), b, c)
+        cfg = write_config(tmp_path, model=model, output_dir=str(out), **body)
+        assert main(["run", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"error: model matrix_market: {zero} has no nonzero entry\n")
+        assert not out.exists()
+
     def test_parse_error_names_the_file(self, tmp_path, capsys):
         rod = tibt.heat_rod(50)
         model = write_matrix_market(tmp_path, rod.A.to_dense(), rod.B, rod.C)
@@ -295,6 +332,35 @@ class TestConfigValidation:
         assert err.startswith("error: ")
         assert repr(key) in err and "string" in err
 
+    @pytest.mark.parametrize("body, key", [
+        ({"task": "atia-bt", "side": "bogus"}, "side"),
+        ({"task": "atia-bt", "r": 4}, "r"),
+        ({"task": "dense-bt", "r": 4, "alg": {"k_max": 1}}, "alg"),
+        ({"task": "tcr", "r": 4, "tols": [1e-3]}, "tols"),
+        ({"task": "tor", "r": 4, "side": "q"}, "side"),
+        ({"task": "tsia", "r": 4, "alg": {"k_max": 1}}, "alg"),
+        ({"task": "tsia", "r": 4, "grid_points": 60}, "grid_points"),
+        ({"task": "solve-lyap", "grid_points": 60}, "grid_points"),
+        ({"task": "solve-lyap", "r": 4}, "r"),
+        ({"task": "compare", "tols": [1e-3], "alg": {"tol": 0.5}}, "tol"),
+        ({"task": "compare", "tols": [1e-3], "r": 4}, "r"),
+        ({"task": "solve-lyap", "side": "bogus"}, "side"),
+    ], ids=lambda param: param if isinstance(param, str) else param["task"])
+    def test_unread_or_bad_key_rejected_before_model_built(
+            self, tmp_path, capsys, monkeypatch, body, key):
+        def no_model(*args):
+            raise AssertionError("model built from a bad config")
+
+        monkeypatch.setattr("tibt.cli.build_model", no_model)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "heat_rod", "n": 50},
+                           output_dir=str(out), **body)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ")
+        assert repr(key) in err
+        assert not out.exists()
+
     def test_compare_command_requires_compare_task(self, tmp_path):
         cfg = write_config(tmp_path, model={"kind": "illustrative4"},
                            task="dense-bt", r=2)
@@ -303,30 +369,34 @@ class TestConfigValidation:
 
 class TestDenseGramiansOnce:
     @pytest.mark.parametrize("body", [
-        {"task": "dense-bt", "r": 4},
-        {"task": "tcr", "r": 4},
-        {"task": "tor", "r": 4},
-        {"task": "atia-bt", "alg": {"tol": 1e-4}},
+        {"task": "dense-bt", "r": 4, "grid_points": 60},
+        {"task": "tcr", "r": 4, "grid_points": 60},
+        {"task": "tor", "r": 4, "grid_points": 60},
+        {"task": "atia-bt", "alg": {"tol": 1e-4}, "grid_points": 60},
         {"task": "solve-lyap"},
-        {"task": "compare", "tols": [1e-3, 1e-4]},
+        {"task": "compare", "tols": [1e-3, 1e-4], "grid_points": 60},
     ], ids=lambda body: body["task"])
     def test_two_full_size_lyapunov_solves(self, tmp_path, monkeypatch, body):
         n = 60
         sizes = []
-        solve = tibt.system.solve_lyapunov_dense
+        solve = tibt.linalg.solve_lyapunov_dense
 
         def counting(a, g):
             sizes.append(len(a))
             return solve(a, g)
 
-        monkeypatch.setattr(tibt.system, "solve_lyapunov_dense", counting)
+        # every module that imported the solver calls it through its own name
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "tibt"
+                    and getattr(module, "solve_lyapunov_dense", None) is solve):
+                monkeypatch.setattr(module, "solve_lyapunov_dense", counting)
         cfg = write_config(tmp_path,
                            model={"kind": "random_stable", "n": n, "m": 2,
                                   "p": 2, "seed": 1},
-                           grid_points=60, output_dir=str(tmp_path / "out"),
-                           **body)
+                           output_dir=str(tmp_path / "out"), **body)
         assert main(["run", cfg]) == 0
-        assert sizes.count(n) == 2
+        # solve-lyap solves only for the Gramian it reports
+        assert sizes.count(n) == (1 if body["task"] == "solve-lyap" else 2)
 
 
 class TestSolveLyap:

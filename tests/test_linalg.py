@@ -590,6 +590,31 @@ class TestOperators:
             x = op.shifted_solve(s, b)
             assert np.linalg.norm((a - s * np.eye(14)) @ x - b) <= 1e-10 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 60])
+    def test_dense_shifted_solve_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        a = random_hurwitz(n, n)
+        op = DenseOperator(a)
+        for s in (0.0, 0.7, 2.0 - 3.0j):
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                      rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))):
+                want = sla.solve(a - s * np.eye(n), b)
+                got = op.shifted_solve(s, b)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        a[:, 0] = 0.0
+        a[0, 0] = -1.5  # A + 1.5 I has a zero first column
+        with pytest.raises(ShiftSolveFailure, match="singular"):
+            DenseOperator(a).shifted_solve(-1.5, np.ones(n))
+
+    def test_one_state_tridiagonal_solve(self):
+        op = TridiagonalOperator([], [-4.0], [])
+        assert np.array_equal(op.shifted_solve(1.0, np.array([10.0])), [-2.0])
+        x = op.shifted_solve(-4.0 + 2.0j, np.ones((1, 2)))
+        assert np.array_equal(x, np.full((1, 2), 1.0 / -2.0j))
+        with pytest.raises(ShiftSolveFailure, match="singular"):
+            op.shifted_solve(-4.0, np.ones(1))
+
     def test_tridiagonal_agrees_with_dense(self):
         rng = np.random.default_rng(11)
         n = 40

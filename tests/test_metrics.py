@@ -3,7 +3,7 @@ import pytest
 
 import tibt
 from tibt.errors import DimensionMismatchError
-from tibt.metrics import FreqGrid
+from tibt.metrics import DENSE_CAP_DEFAULT, FreqGrid
 
 
 def scalar_model():
@@ -29,6 +29,18 @@ class TestFreqGrid:
         grid = FreqGrid.default_for(m)
         assert grid.points[0] <= 1e-3 * 0.1 * 1.0001
         assert grid.points[-1] >= 1e3 * 200.0 * 0.9999
+
+
+    def test_large_operator_range_estimated_by_iteration(self):
+        n = 6000  # above the dense cap: power and inverse iteration
+        assert n > DENSE_CAP_DEFAULT
+        grid = FreqGrid.default_for(tibt.heat_rod(n))
+        lo, hi = 1e3 * grid.points[0], 1e-3 * grid.points[-1]
+        angle = np.pi / (2 * (n + 1))
+        exact_lo = 4 * (n + 1) ** 2 * np.sin(angle) ** 2
+        exact_hi = 4 * (n + 1) ** 2 * np.cos(angle) ** 2
+        assert abs(lo - exact_lo) <= 1e-10 * exact_lo
+        assert 0.95 * exact_hi <= hi <= exact_hi
 
 
 class TestGramianRelError:

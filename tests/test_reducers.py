@@ -3,7 +3,7 @@ import pytest
 from conftest import TEST_POINTS, transfer_mismatch
 
 import tibt
-from tibt.errors import SingularValueTieError
+from tibt.errors import NonHurwitzError, SingularValueTieError
 from tibt.linalg import ordered_svd, solve_lyapunov_dense, solve_sylvester_skinny
 from tibt.reducers import (
     SCALE_CLIP_RTOL,
@@ -102,6 +102,14 @@ class TestBtSquareRoot:
         m = tibt.StateSpaceModel(np.diag([-1.0, -1.0]), np.eye(2), np.eye(2))
         with pytest.raises(SingularValueTieError):
             tibt.bt_square_root(m, 1)
+
+
+@pytest.mark.parametrize("reducer", [tibt.bt_square_root, tibt.tcr, tibt.tor])
+def test_unstable_model_rejected_by_its_gramians(reducer):
+    m = tibt.StateSpaceModel(np.diag([-1.0, 0.5, -2.0]), np.ones((3, 1)),
+                             np.ones((1, 3)))
+    with pytest.raises(NonHurwitzError, match="Re = 5.000e-01"):
+        reducer(m, 1)
 
 
 class TestTcrTor:
@@ -239,6 +247,16 @@ class TestTsia:
             hrp = tibt.eval_transfer_derivative(red.rom, s)
             hdef = abs(np.conj(left) @ (hp - hrp) @ np.conj(right))
             assert hdef <= 1e-6 * abs(np.conj(left) @ hp @ np.conj(right))
+
+    def test_order_capped_at_sylvester_rank(self):
+        # B excites two of the five modes, so Phat has rank 2 and Qhat rank 4
+        m = tibt.StateSpaceModel(np.diag(-np.arange(1.0, 6.0)),
+                                 np.array([[1.0], [1.0], [0.0], [0.0], [0.0]]),
+                                 np.ones((1, 5)))
+        red = tibt.tsia(m, tibt.random_stable(4, 1, 1, seed=0))
+        assert red.r == 2
+        assert red.converged
+        assert max(h2_optimality_residuals(m, red).values()) <= 1e-12
 
     def test_unconverged_flagged(self):
         m = tibt.random_stable(20, 2, 2, seed=51)
