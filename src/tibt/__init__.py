@@ -46,7 +46,6 @@ from .metrics import FreqGrid, gramian_rel_error, hinf_rel_error, pq_rel_error, 
 from .reducers import (
     InterpolationData,
     ReducedModel,
-    SylvesterPair,
     bt_from_factors,
     bt_square_root,
     h2_optimality_residuals,
@@ -61,7 +60,6 @@ from .system import (
     GramianPair,
     PoleResidue,
     StateSpaceModel,
-    SvReport,
     eval_transfer,
     eval_transfer_derivative,
     gramians_dense,

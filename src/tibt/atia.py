@@ -28,9 +28,10 @@ import numpy as np
 from .alrs import AlrsConfig, IterationRecord, _Basis, _RankLadder
 from .benchmarks import random_stable
 from .errors import DenseInfeasibleError
-from .linalg import ordered_svd, psd_factor, solve_lyapunov_dense, solve_sylvester_skinny
-from .reducers import ReducedModel, reflect_spectrum, square_root_pair
-from .system import StateSpaceModel, SvReport, hankel_singular_values, require_hurwitz
+from .linalg import ordered_svd, psd_factor, solve_lyapunov_dense
+from .metrics import DENSE_CAP_DEFAULT
+from .reducers import ReducedModel, reflect_spectrum, solve_coupling_pair, square_root_pair
+from .system import StateSpaceModel, hankel_singular_values, require_hurwitz
 
 __all__ = ["AtiaConfig", "AtiaResult", "atia_bt", "atia_hsv_compare"]
 
@@ -54,7 +55,7 @@ class AtiaResult:
     history: list[IterationRecord] = field(default_factory=list)
 
     @property
-    def hankel_estimates(self) -> SvReport:
+    def hankel_estimates(self) -> np.ndarray:
         return self.rom.retained_sv
 
     @property
@@ -101,8 +102,7 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
     wb = _Basis(model.A.apply_transpose, model.C.T)
     while True:
         ar = reflect_spectrum(ar, floor=REFLECT_FLOOR)
-        phat = solve_sylvester_skinny(model.A, ar, model.B @ br.T)
-        qhat = solve_sylvester_skinny(model.A.transpose(), ar.T, model.C.T @ cr)
+        phat, qhat = solve_coupling_pair(model, StateSpaceModel(ar, br, cr))
         vb.extend(phat)
         wb.extend(qhat)
         if vb.k == 0 or wb.k == 0:
@@ -134,15 +134,15 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
             vb.restart(phat)
             wb.restart(qhat)
 
-    retained = SvReport(values=svd[1][:vr_small.shape[1]].copy())
     red = ReducedModel(rom=StateSpaceModel(ar, br, cr),
                        Vr=vk @ vr_small, Wr=wk @ wr_small,
-                       retained_sv=retained, converged=ladder.converged)
+                       retained_sv=svd[1][:vr_small.shape[1]].copy(),
+                       converged=ladder.converged)
     return AtiaResult(rom=red, history=ladder.history)
 
 
 def atia_hsv_compare(result: AtiaResult, model: StateSpaceModel,
-                     dense_cap: int = 5000):
+                     dense_cap: int = DENSE_CAP_DEFAULT):
     """Tabulate the run's Hankel estimates against dense ground truth.
 
     Returns a list of ``(index, estimate, dense, rel_diff)`` rows, one per
@@ -157,9 +157,9 @@ def atia_hsv_compare(result: AtiaResult, model: StateSpaceModel,
     if model.n > dense_cap:
         raise DenseInfeasibleError(
             f"n = {model.n} exceeds dense cap {dense_cap}")
-    dense = hankel_singular_values(model).values
+    dense = hankel_singular_values(model)
     rows = []
-    for idx, est in enumerate(result.hankel_estimates.values, start=1):
+    for idx, est in enumerate(result.hankel_estimates, start=1):
         sigma = dense[idx - 1] if idx <= len(dense) else 0.0
         rel = abs(est - sigma) / sigma if sigma > 0 else np.inf
         rows.append((idx, float(est), float(sigma), float(rel)))

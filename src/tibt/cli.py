@@ -2,7 +2,7 @@
 
 Reads a JSON experiment config, runs one task (a Lyapunov solve, a reducer,
 or an adaptive-vs-dense comparison) and writes CSV artifacts plus a
-``run.json`` echo of the resolved configuration. Config keys the task does
+``run.json`` echo of the configuration as given. Config keys the task does
 not read are rejected; nothing is written until the run finished, so a
 failing run never leaves partial CSVs behind.
 
@@ -45,13 +45,16 @@ _TASK_KEYS = {
     "dense-bt": ({"r", "dense_cap", "grid_points"}, {"r"}),
     "tcr": ({"r", "dense_cap", "grid_points"}, {"r"}),
     "tor": ({"r", "dense_cap", "grid_points"}, {"r"}),
-    "tsia": ({"r", "dense_cap"}, {"r"}),
+    "tsia": ({"r"}, {"r"}),
     "compare": ({"tols", "alg", "dense_cap", "grid_points"}, {"tols"}),
 }
 
 TASKS = tuple(_TASK_KEYS)
 
 _ALG_KEYS = {"r0", "dr", "tol", "i_max", "k_max", "seed", "stage_tol"}
+
+# Smallest largest-|entry| of B or C whose squares stay normal floats.
+_COUPLING_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 
 class ConfigError(TibtError):
@@ -158,10 +161,16 @@ def build_model(cfg, seed):
     except OSError as exc:  # a missing or unreadable Matrix Market file
         where = f"{exc.filename}: " if exc.filename else ""
         raise ConfigError(f"model {kind}: {where}{exc.strerror or exc}") from exc
-    # a zero transfer function has no Hankel values to reduce by
+    # a zero transfer function has no Hankel values to reduce by, and below
+    # _COUPLING_FLOOR the Gramian right-hand sides B B^T and C^T C underflow
     for name, mat in (("B", built.B), ("C", built.C)):
-        if not mat.any():
+        top = np.max(np.abs(mat))
+        if top == 0.0:
             raise ConfigError(f"model {kind}: {name} has no nonzero entry")
+        if top < _COUPLING_FLOOR:
+            raise ConfigError(
+                f"model {kind}: {name} has largest |entry| {top:.3g}, below "
+                f"{_COUPLING_FLOOR:.3g}; its Gramian products underflow")
     return built
 
 
@@ -242,7 +251,7 @@ def run_task(cfg, seed, out_dir):
     elif task == "atia-bt":
         result = atia_bt(model, _alg_config(cfg, seed))
         artifacts["hsv.csv"] = (("index", "value"),
-                                _hsv_rows(result.hankel_estimates.values))
+                                _hsv_rows(result.hankel_estimates))
         err_rows = [("hinf_rel_error_vs_original",
                      _fmt(hinf_rel_error(model, result.rom.rom,
                                          _default_grid(model, cfg))),
@@ -261,15 +270,14 @@ def run_task(cfg, seed, out_dir):
         gram = gramians_dense(model)
         red = reducer(model, min(cfg["r"], model.n), gramians=gram)
         r = _produced_order(task, red, cfg["r"], model.n)
-        artifacts["hsv.csv"] = (("index", "value"),
-                                _hsv_rows(red.retained_sv.values))
+        artifacts["hsv.csv"] = (("index", "value"), _hsv_rows(red.retained_sv))
         err_rows = [("hinf_rel_error",
                      _fmt(hinf_rel_error(model, red.rom,
                                          _default_grid(model, cfg))), str(r))]
         if dense_ok and task != "dense-bt":
             exact = gram.P if task == "tcr" else gram.Q
             basis = red.Vr if task == "tcr" else red.Wr
-            approx = basis @ np.diag(red.retained_sv.values) @ basis.T
+            approx = basis @ np.diag(red.retained_sv) @ basis.T
             err_rows.append(("gramian_rel_error",
                              _fmt(gramian_rel_error(exact, approx)), str(r)))
         if dense_ok:
@@ -283,9 +291,8 @@ def run_task(cfg, seed, out_dir):
                                         model.p, seed)
         red = tsia(model, init)
         r = _produced_order(task, red, cfg["r"], model.n)
-        hsv = hankel_singular_values(red.rom) if red.rom.n <= dense_cap else None
-        if hsv is not None:
-            artifacts["hsv.csv"] = (("index", "value"), _hsv_rows(hsv.values))
+        artifacts["hsv.csv"] = (("index", "value"),
+                                _hsv_rows(hankel_singular_values(red.rom)))
         res = h2_optimality_residuals(model, red)
         artifacts["errors.csv"] = (
             ("metric", "value", "r"),

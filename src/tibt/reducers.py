@@ -8,7 +8,7 @@ H2-optimal reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .linalg import (
 from .system import (
     GramianPair,
     StateSpaceModel,
-    SvReport,
     gramians_dense,
     require_hurwitz,
 )
@@ -35,7 +34,6 @@ from .system import (
 __all__ = [
     "ReducedModel",
     "InterpolationData",
-    "SylvesterPair",
     "project",
     "bt_square_root",
     "bt_from_factors",
@@ -59,29 +57,22 @@ SCALE_CLIP_RTOL = 1e-14
 class ReducedModel:
     """Reduced-order model together with the projection pair that made it.
 
-    The stored pair satisfies ``Wr^T Vr = I`` (Petrov-Galerkin). Iterative
-    reducers set ``converged``; only :func:`tsia` sets ``iterations``.
+    The stored pair satisfies ``Wr^T Vr = I`` (Petrov-Galerkin). The
+    truncations and :func:`~tibt.atia.atia_bt` set ``retained_sv``, the
+    retained values (or estimates) largest first. Iterative reducers set
+    ``converged``; only :func:`tsia` sets ``iterations``.
     """
 
     rom: StateSpaceModel
     Vr: np.ndarray
     Wr: np.ndarray
-    retained_sv: SvReport | None = None
+    retained_sv: np.ndarray | None = None
     converged: bool | None = None
     iterations: int | None = None
 
     @property
     def r(self) -> int:
         return self.rom.n
-
-
-@dataclass(frozen=True)
-class SylvesterPair:
-    """Solutions (Phat, Qhat) of the coupling Sylvester equations
-    ``A Phat + Phat Ar^T + B Br^T = 0`` and ``A^T Qhat + Qhat Ar + C^T Cr = 0``."""
-
-    Phat: np.ndarray
-    Qhat: np.ndarray
 
 
 def project(model: StateSpaceModel, vr, wr) -> ReducedModel:
@@ -154,7 +145,7 @@ def bt_from_factors(model: StateSpaceModel, zp, zq, r) -> ReducedModel:
     av = model.A.apply(vr)
     rom = StateSpaceModel(wr.T @ av, wr.T @ model.B, model.C @ vr)
     return ReducedModel(rom=rom, Vr=vr, Wr=wr,
-                        retained_sv=SvReport(values=s[:r].copy()))
+                        retained_sv=s[:r].copy())
 
 
 def bt_square_root(model: StateSpaceModel, r,
@@ -186,8 +177,7 @@ def _eig_truncation(model, gram, r):
     _check_sv_gap(w, r)
     vr = t[:, :r]
     red = project(model, vr, vr)  # Galerkin: T^{-T} = T
-    return ReducedModel(rom=red.rom, Vr=red.Vr, Wr=red.Wr,
-                        retained_sv=SvReport(values=w[:r].copy()))
+    return replace(red, retained_sv=w[:r].copy())
 
 
 def tcr(model: StateSpaceModel, r,
@@ -292,8 +282,11 @@ def _well_scaled_basis(x):
     conditioning of ``W^T V`` even though the reduced transfer function is
     invariant under right-multiplication by any invertible matrix. Unit
     column scaling followed by orthonormalization removes that artifact
-    without changing the ROM.
+    without changing the ROM. Each column is first scaled by the power of
+    two that brings its largest entry into [0.5, 1), which is exact and
+    keeps the squares in the norm from underflowing.
     """
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x), axis=0))[1])
     norms = np.linalg.norm(x, axis=0)
     good = norms > 0
     return orthonormalize(x[:, good] / norms[good])
@@ -319,13 +312,13 @@ def tangential_interpolate(model: StateSpaceModel,
     return project(model, vr, wr)
 
 
-def solve_coupling_pair(model: StateSpaceModel, rom: StateSpaceModel) -> SylvesterPair:
-    """Solve the pair of skinny Sylvester equations coupling ``model`` to ``rom``."""
-    phat = solve_sylvester_skinny(model.A, rom.A.to_dense(),
-                                  model.B @ rom.B.T)
-    qhat = solve_sylvester_skinny(model.A.transpose(), rom.A.to_dense().T,
-                                  model.C.T @ rom.C)
-    return SylvesterPair(Phat=phat, Qhat=qhat)
+def solve_coupling_pair(model: StateSpaceModel, rom: StateSpaceModel):
+    """Solutions ``(Phat, Qhat)`` of the Sylvester equations coupling
+    ``model`` to ``rom``: ``A Phat + Phat Ar^T + B Br^T = 0`` and
+    ``A^T Qhat + Qhat Ar + C^T Cr = 0``."""
+    ar = rom.A.to_dense()
+    return (solve_sylvester_skinny(model.A, ar, model.B @ rom.B.T),
+            solve_sylvester_skinny(model.A.transpose(), ar.T, model.C.T @ rom.C))
 
 
 def reflect_spectrum(ar, floor):
@@ -393,10 +386,8 @@ def tsia(model: StateSpaceModel, init, max_iter=200, conv_tol=1e-8) -> ReducedMo
         if change < best_change:
             best, best_change = red, change
         if change <= conv_tol:
-            return ReducedModel(rom=red.rom, Vr=red.Vr, Wr=red.Wr,
-                                converged=True, iterations=it)
-    return ReducedModel(rom=best.rom, Vr=best.Vr, Wr=best.Wr,
-                        converged=False, iterations=max_iter)
+            return replace(red, converged=True, iterations=it)
+    return replace(best, converged=False, iterations=max_iter)
 
 
 def two_step_lowrank_bt(model: StateSpaceModel, vk, wk, r) -> ReducedModel:
@@ -445,16 +436,19 @@ def h2_optimality_residuals(model: StateSpaceModel, red: ReducedModel) -> dict:
     each normalized by the Frobenius norm of its reduced-side term.
     """
     rom = red.rom
-    pair = solve_coupling_pair(model, rom)
+    phat, qhat = solve_coupling_pair(model, rom)
     rom_gram = gramians_dense(rom)
     pr, qr = rom_gram.P, rom_gram.Q
 
     def _rel(lhs, ref):
+        # one exact power-of-two scaling keeps the squared entries normal
+        e = np.frexp(max(np.max(np.abs(lhs)), np.max(np.abs(ref))))[1]
+        lhs, ref = np.ldexp(lhs, -e), np.ldexp(ref, -e)
         return float(np.linalg.norm(lhs) / max(np.linalg.norm(ref),
                                                np.finfo(float).tiny))
 
     return {
-        "cp": _rel(model.C @ pair.Phat - rom.C @ pr, rom.C @ pr),
-        "qb": _rel(pair.Qhat.T @ model.B - qr @ rom.B, qr @ rom.B),
-        "qp": _rel(pair.Qhat.T @ pair.Phat - qr @ pr, qr @ pr),
+        "cp": _rel(model.C @ phat - rom.C @ pr, rom.C @ pr),
+        "qb": _rel(qhat.T @ model.B - qr @ rom.B, qr @ rom.B),
+        "qp": _rel(qhat.T @ phat - qr @ pr, qr @ pr),
     }

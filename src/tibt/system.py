@@ -25,7 +25,6 @@ __all__ = [
     "StateSpaceModel",
     "GramianPair",
     "PoleResidue",
-    "SvReport",
     "eval_transfer",
     "eval_transfer_derivative",
     "pole_residue",
@@ -85,13 +84,6 @@ class GramianPair:
 
     P: np.ndarray
     Q: np.ndarray
-
-
-@dataclass(frozen=True)
-class SvReport:
-    """Ordered singular-value report."""
-
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,8 +150,9 @@ def gramians_dense(model: StateSpaceModel) -> GramianPair:
 
 
 def hankel_singular_values(model: StateSpaceModel,
-                           gramians: GramianPair | None = None) -> SvReport:
-    """Hankel singular values ``sigma_i = sqrt(lambda_i(PQ))``.
+                           gramians: GramianPair | None = None) -> np.ndarray:
+    """Hankel singular values ``sigma_i = sqrt(lambda_i(PQ))``, largest
+    first.
 
     Computed from Gramian square-root factors as the singular values of
     ``L_q^T L_p`` (never through an unsymmetric eigenproblem on PQ), which
@@ -169,8 +162,7 @@ def hankel_singular_values(model: StateSpaceModel,
         gramians = gramians_dense(model)
     lp = psd_factor(gramians.P)
     lq = psd_factor(gramians.Q)
-    _, s, _ = ordered_svd(lq.T @ lp)
-    return SvReport(values=s)
+    return ordered_svd(lq.T @ lp)[1]
 
 
 def is_hurwitz(model_or_operator) -> bool:

@@ -44,7 +44,7 @@ def test_criterion_1_illustrative_example_exactness():
     gram = tibt.gramians_dense(m)
     sp = np.linalg.svd(gram.P, compute_uv=False)
     sq = np.linalg.svd(gram.Q, compute_uv=False)
-    hsv = tibt.hankel_singular_values(m, gramians=gram).values
+    hsv = tibt.hankel_singular_values(m, gramians=gram)
     elapsed = time.monotonic() - start
 
     assert abs(sp[0] - 5.0e5) <= 1e-4 * 5.0e5
@@ -67,12 +67,12 @@ def test_criterion_2_naive_lowrank_bt_failure_reproduction():
     zp3 = eig_truncation_factor(gram.P, 3)
     zq3 = eig_truncation_factor(gram.Q, 3)
     naive = bt_from_factors(m, zp3, zq3, 2)
-    naive_hsv = tibt.hankel_singular_values(naive.rom).values
+    naive_hsv = tibt.hankel_singular_values(naive.rom)
     assert_printed(naive_hsv[0], 72.9579, 4, "naive hankel 1")
     assert_printed(naive_hsv[1], 8.3810, 4, "naive hankel 2")
     dense = tibt.bt_square_root(m, 2, gramians=gram)
-    assert_printed(dense.retained_sv.values[0], 73.1370, 4, "dense hankel 1")
-    assert_printed(dense.retained_sv.values[1], 7.2831, 4, "dense hankel 2")
+    assert_printed(dense.retained_sv[0], 73.1370, 4, "dense hankel 1")
+    assert_printed(dense.retained_sv[1], 7.2831, 4, "dense hankel 2")
     _ok(2)
 
 
@@ -120,8 +120,8 @@ def test_criterion_5_adaptive_bt_vs_dense_bt():
         if not ratio_adaptive <= 2.0 * ratio_dense:
             failures.append(f"{label}: sampled error ratio "
                             f"{ratio_adaptive / ratio_dense:.2f}x dense BT")
-        est = res.hankel_estimates.values
-        ref = dense.retained_sv.values
+        est = res.hankel_estimates
+        ref = dense.retained_sv
         rel = np.abs(est - ref) / ref
         if not np.max(rel) <= 1e-3:
             failures.append(f"{label}: worst retained-value deviation "

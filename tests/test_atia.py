@@ -16,19 +16,19 @@ class TestAtiaBt:
         b = np.array([[1.0], [1e-4]])
         c = np.array([[1.0, 1e-4]])
         m = tibt.StateSpaceModel(a, b, c)
-        hsv = tibt.hankel_singular_values(m).values
+        hsv = tibt.hankel_singular_values(m)
         assert hsv[1] / hsv[0] < 1e-3
         res = tibt.atia_bt(m, AtiaConfig(r0=1, dr=1, tol=1e-3, seed=0))
         assert res.converged
         assert res.rom.r == 1
-        assert abs(res.hankel_estimates.values[0] - hsv[0]) <= 1e-6 * hsv[0]
+        assert abs(res.hankel_estimates[0] - hsv[0]) <= 1e-6 * hsv[0]
 
     def test_random_model_matches_dense_bt(self):
         m = tibt.random_stable(300, 2, 2, seed=11)
         res = tibt.atia_bt(m, AtiaConfig(r0=2, dr=2, tol=1e-5, seed=0))
         assert res.converged
-        dense = tibt.hankel_singular_values(m).values
-        est = res.hankel_estimates.values
+        dense = tibt.hankel_singular_values(m)
+        est = res.hankel_estimates
         rel = np.abs(est - dense[: len(est)]) / dense[: len(est)]
         assert np.max(rel) <= 1e-3
 
@@ -38,8 +38,8 @@ class TestAtiaBt:
         res = tibt.atia_bt(m, AtiaConfig(tol=1e-5, seed=0))
         assert res.converged
         assert max_principal_angle(res.rom.Vr, res.rom.Wr) <= 1e-6
-        dense = tibt.hankel_singular_values(m).values
-        est = res.hankel_estimates.values
+        dense = tibt.hankel_singular_values(m)
+        est = res.hankel_estimates
         rel = np.abs(est - dense[: len(est)]) / dense[: len(est)]
         assert np.max(rel) <= 1e-4
 
@@ -52,8 +52,8 @@ class TestAtiaBt:
     def test_heat_rod_estimates_match_dense(self):
         m = tibt.heat_rod(1000)
         res = tibt.atia_bt(m, AtiaConfig(r0=2, dr=2, tol=1e-5, seed=0))
-        dense = tibt.hankel_singular_values(m).values
-        est = res.hankel_estimates.values
+        dense = tibt.hankel_singular_values(m)
+        est = res.hankel_estimates
         rel = np.abs(est - dense[: len(est)]) / dense[: len(est)]
         assert np.max(rel) <= 1e-4
 
@@ -104,7 +104,7 @@ class TestAtiaBt:
     def test_estimates_descending_and_consistent(self):
         m = tibt.random_stable(100, 2, 2, seed=3)
         res = tibt.atia_bt(m, AtiaConfig(tol=1e-4, seed=0))
-        vals = res.hankel_estimates.values
+        vals = res.hankel_estimates
         assert np.all(np.diff(vals) <= 0)
         assert len(vals) == res.rom.r
 
@@ -159,8 +159,8 @@ class TestAtiaBt:
         res = tibt.atia_bt(m, AtiaConfig(tol=1e-4, seed=0))
         assert taken
         assert res.converged
-        dense = tibt.hankel_singular_values(m).values
-        est = res.hankel_estimates.values
+        dense = tibt.hankel_singular_values(m)
+        est = res.hankel_estimates
         assert np.max(np.abs(est - dense[: len(est)]) / dense[: len(est)]) <= 1e-4
         wv = res.rom.Wr.T @ res.rom.Vr
         assert np.linalg.norm(wv - np.eye(wv.shape[0]), 2) <= 1e-8

@@ -34,6 +34,26 @@ def write_matrix_market(tmp_path, a, b, c):
     return {"kind": "matrix_market", **paths}
 
 
+def scaled_rod_model(tmp_path, which, factor):
+    """``heat_rod(30)`` as Matrix Market files, with B or C scaled."""
+    rod = tibt.heat_rod(30)
+    b = rod.B * (factor if which == "B" else 1.0)
+    c = rod.C * (factor if which == "C" else 1.0)
+    return write_matrix_market(tmp_path, rod.A.to_dense(), b, c)
+
+
+# one config per task, small enough for heat_rod(30)
+EVERY_TASK = [
+    {"task": "solve-lyap"},
+    {"task": "atia-bt"},
+    {"task": "dense-bt", "r": 4},
+    {"task": "tcr", "r": 4},
+    {"task": "tor", "r": 4},
+    {"task": "tsia", "r": 4},
+    {"task": "compare", "tols": [1e-3]},
+]
+
+
 class TestRunDenseBt:
     def test_modal_example_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -285,15 +305,7 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("zero", ["B", "C"])
-    @pytest.mark.parametrize("body", [
-        {"task": "solve-lyap"},
-        {"task": "atia-bt"},
-        {"task": "dense-bt", "r": 4},
-        {"task": "tcr", "r": 4},
-        {"task": "tor", "r": 4},
-        {"task": "tsia", "r": 4},
-        {"task": "compare", "tols": [1e-3]},
-    ], ids=lambda body: body["task"])
+    @pytest.mark.parametrize("body", EVERY_TASK, ids=lambda body: body["task"])
     def test_zero_input_or_output_matrix_exits_one(self, tmp_path, capsys, body, zero):
         rod = tibt.heat_rod(30)
         b, c = (0.0 * rod.B, rod.C) if zero == "B" else (rod.B, 0.0 * rod.C)
@@ -304,6 +316,30 @@ class TestConfigValidation:
         assert capsys.readouterr().err == (
             f"error: model matrix_market: {zero} has no nonzero entry\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("scaled", ["B", "C"])
+    @pytest.mark.parametrize("body", EVERY_TASK, ids=lambda body: body["task"])
+    def test_underflowing_input_or_output_matrix_exits_one(self, tmp_path, capsys,
+                                                          body, scaled):
+        # below sqrt(tiny) ~ 1.49e-154 the squares in B B^T or C^T C underflow
+        out = tmp_path / "out"
+        model = scaled_rod_model(tmp_path, scaled, 1e-160)
+        cfg = write_config(tmp_path, model=model, output_dir=str(out), **body)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model matrix_market: {scaled} ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scaled", ["B", "C"])
+    @pytest.mark.parametrize("body", EVERY_TASK, ids=lambda body: body["task"])
+    def test_small_input_or_output_matrix_runs(self, tmp_path, capsys, body, scaled):
+        out = tmp_path / "out"
+        model = scaled_rod_model(tmp_path, scaled, 1e-150)
+        cfg = write_config(tmp_path, model=model, output_dir=str(out), **body)
+        assert main(["run", cfg]) in (0, 2)
+        assert "error:" not in capsys.readouterr().err
+        assert (out / "run.json").exists()
 
     def test_parse_error_names_the_file(self, tmp_path, capsys):
         rod = tibt.heat_rod(50)
@@ -340,6 +376,7 @@ class TestConfigValidation:
         ({"task": "tor", "r": 4, "side": "q"}, "side"),
         ({"task": "tsia", "r": 4, "alg": {"k_max": 1}}, "alg"),
         ({"task": "tsia", "r": 4, "grid_points": 60}, "grid_points"),
+        ({"task": "tsia", "r": 4, "dense_cap": 10}, "dense_cap"),
         ({"task": "solve-lyap", "grid_points": 60}, "grid_points"),
         ({"task": "solve-lyap", "r": 4}, "r"),
         ({"task": "compare", "tols": [1e-3], "alg": {"tol": 0.5}}, "tol"),

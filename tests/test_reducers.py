@@ -65,20 +65,20 @@ class TestBtSquareRoot:
         m = tibt.random_stable(7, 2, 2, seed=45)
         red = tibt.bt_square_root(m, 7)
         pr, qr = rom_gramians(red)
-        sig = np.diag(red.retained_sv.values)
+        sig = np.diag(red.retained_sv)
         assert np.allclose(pr, sig, rtol=1e-6, atol=1e-6 * sig[0, 0])
         assert np.allclose(qr, sig, rtol=1e-6, atol=1e-6 * sig[0, 0])
 
     def test_modal_example_retained_values(self):
         red = tibt.bt_square_root(tibt.illustrative4(), 2)
-        assert np.allclose(red.retained_sv.values, [73.1370, 7.2831],
+        assert np.allclose(red.retained_sv, [73.1370, 7.2831],
                            rtol=0, atol=1e-4)
 
     def test_hsv_preservation(self):
         m = tibt.random_stable(30, 2, 2, seed=46)
         red = tibt.bt_square_root(m, 5)
-        rom_hsv = tibt.hankel_singular_values(red.rom).values
-        full_hsv = tibt.hankel_singular_values(m).values
+        rom_hsv = tibt.hankel_singular_values(red.rom)
+        full_hsv = tibt.hankel_singular_values(m)
         assert np.allclose(rom_hsv, full_hsv[:5], rtol=1e-8)
 
     def test_balancedness_invariant(self):
@@ -86,7 +86,7 @@ class TestBtSquareRoot:
             m = tibt.random_stable(15, 2, 2, seed=200 + seed)
             red = tibt.bt_square_root(m, 4)
             pr, qr = rom_gramians(red)
-            sig = np.diag(red.retained_sv.values)
+            sig = np.diag(red.retained_sv)
             assert np.linalg.norm(pr - sig) <= 1e-6 * np.linalg.norm(sig)
             assert np.linalg.norm(qr - sig) <= 1e-6 * np.linalg.norm(sig)
 
@@ -130,11 +130,11 @@ class TestTcrTor:
         m = tibt.illustrative4()
         gram = tibt.gramians_dense(m)
         tc = tibt.tcr(m, 3)
-        approx_p = tc.Vr @ np.diag(tc.retained_sv.values) @ tc.Vr.T
+        approx_p = tc.Vr @ np.diag(tc.retained_sv) @ tc.Vr.T
         err_p = tibt.gramian_rel_error(gram.P, approx_p)
         assert abs(err_p - 5.5223e-10) <= 1e-3 * 5.5223e-10
         to = tibt.tor(m, 3)
-        approx_q = to.Wr @ np.diag(to.retained_sv.values) @ to.Wr.T
+        approx_q = to.Wr @ np.diag(to.retained_sv) @ to.Wr.T
         err_q = tibt.gramian_rel_error(gram.Q, approx_q)
         assert abs(err_q - 2.1957e-9) <= 1e-3 * 2.1957e-9
 
@@ -142,11 +142,11 @@ class TestTcrTor:
         m = tibt.random_stable(12, 2, 2, seed=48)
         red = tibt.tcr(m, 5)
         pr, _ = rom_gramians(red)
-        lam = np.diag(red.retained_sv.values)
+        lam = np.diag(red.retained_sv)
         assert np.linalg.norm(pr - lam) <= 1e-6 * np.linalg.norm(lam)
         red = tibt.tor(m, 5)
         _, qr = rom_gramians(red)
-        lam = np.diag(red.retained_sv.values)
+        lam = np.diag(red.retained_sv)
         assert np.linalg.norm(qr - lam) <= 1e-6 * np.linalg.norm(lam)
 
 
@@ -212,7 +212,7 @@ class TestTangentialInterpolate:
                                        gal.rom.B @ gal.rom.B.T)
             e_ti = tibt.gramian_rel_error(gram.P, gal.Vr @ p_r @ gal.Vr.T)
             e_tcr = tibt.gramian_rel_error(
-                gram.P, tc.Vr @ np.diag(tc.retained_sv.values) @ tc.Vr.T)
+                gram.P, tc.Vr @ np.diag(tc.retained_sv) @ tc.Vr.T)
             assert e_ti <= 10.0 * e_tcr
 
 
@@ -257,6 +257,28 @@ class TestTsia:
         assert red.r == 2
         assert red.converged
         assert max(h2_optimality_residuals(m, red).values()) <= 1e-12
+
+    @pytest.mark.parametrize("scaled", ["B", "C"])
+    def test_tiny_coupling_scales_the_rom(self, scaled):
+        # with B or C at 1e-100 the second sweep's Sylvester solution and the
+        # H2 residual terms are ~1e-200, whose squares underflow
+        rod = tibt.heat_rod(30)
+        a = rod.A.to_dense()
+        b = rod.B * (1e-100 if scaled == "B" else 1.0)
+        c = rod.C * (1e-100 if scaled == "C" else 1.0)
+        m = tibt.StateSpaceModel(a, b, c)
+        init = tibt.random_stable(4, 1, 1, seed=0)
+        red = tibt.tsia(m, init)
+        ref = tibt.tsia(tibt.StateSpaceModel(a, rod.B, rod.C), init)
+        assert red.r == 4
+        assert red.converged
+        for s in (0.5j, 3.0, 20j):
+            h = tibt.eval_transfer(red.rom, s)
+            h_ref = 1e-100 * tibt.eval_transfer(ref.rom, s)
+            assert np.linalg.norm(h - h_ref) <= 1e-10 * np.linalg.norm(h_ref)
+        # round-off residuals, not squares underflowed to 0.0
+        res = h2_optimality_residuals(m, red)
+        assert all(0.0 < value <= 1e-6 for value in res.values())
 
     def test_unconverged_flagged(self):
         m = tibt.random_stable(20, 2, 2, seed=51)
@@ -316,14 +338,14 @@ class TestNearOptimalityOfBalancedTruncation:
 
     def test_coupling_solution_approximates_scaled_basis(self):
         m = self.make_gapped_model()
-        hsv = tibt.hankel_singular_values(m).values
+        hsv = tibt.hankel_singular_values(m)
         assert hsv[4] / hsv[3] <= 1e-6
         red = tibt.bt_square_root(m, 4)
-        pair = solve_coupling_pair(m, red.rom)
-        target = red.Vr @ np.diag(red.retained_sv.values)
-        assert np.linalg.norm(pair.Phat - target) <= 1e-3 * np.linalg.norm(target)
-        target_q = red.Wr @ np.diag(red.retained_sv.values)
-        assert np.linalg.norm(pair.Qhat - target_q) <= 1e-3 * np.linalg.norm(target_q)
+        phat, qhat = solve_coupling_pair(m, red.rom)
+        target = red.Vr @ np.diag(red.retained_sv)
+        assert np.linalg.norm(phat - target) <= 1e-3 * np.linalg.norm(target)
+        target_q = red.Wr @ np.diag(red.retained_sv)
+        assert np.linalg.norm(qhat - target_q) <= 1e-3 * np.linalg.norm(target_q)
 
     def test_tangential_conditions_nearly_hold(self):
         m = self.make_gapped_model()
@@ -364,12 +386,12 @@ class TestSolveCouplingPair:
     def test_residuals(self):
         m = tibt.random_stable(25, 2, 2, seed=70)
         rom = tibt.bt_square_root(m, 4).rom
-        pair = solve_coupling_pair(m, rom)
+        phat, qhat = solve_coupling_pair(m, rom)
         a = m.A.to_dense()
         ar = rom.A.to_dense()
-        res_p = a @ pair.Phat + pair.Phat @ ar.T + m.B @ rom.B.T
+        res_p = a @ phat + phat @ ar.T + m.B @ rom.B.T
         assert np.linalg.norm(res_p) <= 1e-8 * max(1.0, np.linalg.norm(m.B @ rom.B.T))
-        res_q = a.T @ pair.Qhat + pair.Qhat @ ar + m.C.T @ rom.C
+        res_q = a.T @ qhat + qhat @ ar + m.C.T @ rom.C
         assert np.linalg.norm(res_q) <= 1e-8 * max(1.0, np.linalg.norm(m.C.T @ rom.C))
 
 
@@ -386,7 +408,7 @@ class TestBtFromFactors:
             return v[:, :rank] * np.sqrt(w[:rank])
 
         red = bt_from_factors(m, eig_trunc(gram.P, 3), eig_trunc(gram.Q, 3), 2)
-        naive_hsv = tibt.hankel_singular_values(red.rom).values
+        naive_hsv = tibt.hankel_singular_values(red.rom)
         assert np.allclose(naive_hsv, [72.9579, 8.3810], rtol=0, atol=1e-4)
 
 

@@ -107,11 +107,11 @@ class TestGramians:
 class TestHankelSingularValues:
     def test_scalar(self):
         hsv = tibt.hankel_singular_values(scalar_model())
-        assert np.allclose(hsv.values, [0.5])
+        assert np.allclose(hsv, [0.5])
 
     def test_modal_example(self):
         hsv = tibt.hankel_singular_values(tibt.illustrative4())
-        assert np.allclose(hsv.values, [73.1370, 7.2831, 1.8919, 0.1880],
+        assert np.allclose(hsv, [73.1370, 7.2831, 1.8919, 0.1880],
                            rtol=0, atol=1e-4)
 
     def test_symmetric_system_equals_gramian_values(self):
@@ -123,7 +123,7 @@ class TestHankelSingularValues:
         hsv = tibt.hankel_singular_values(model)
         gram = tibt.gramians_dense(model)
         sp = np.linalg.svd(gram.P, compute_uv=False)
-        assert np.allclose(hsv.values, sp, rtol=1e-8)
+        assert np.allclose(hsv, sp, rtol=1e-8)
 
     def test_realization_invariance(self):
         model = tibt.random_stable(12, 2, 2, seed=33)
@@ -133,19 +133,19 @@ class TestHankelSingularValues:
         b = np.linalg.solve(t, model.B)
         c = model.C @ t
         transformed = tibt.StateSpaceModel(a, b, c)
-        h1 = tibt.hankel_singular_values(model).values
-        h2 = tibt.hankel_singular_values(transformed).values
+        h1 = tibt.hankel_singular_values(model)
+        h2 = tibt.hankel_singular_values(transformed)
         assert np.allclose(h1, h2, rtol=1e-8)
 
     def test_duality(self):
         model = tibt.random_stable(11, 3, 2, seed=35)
-        h1 = tibt.hankel_singular_values(model).values
-        h2 = tibt.hankel_singular_values(model.dual()).values
+        h1 = tibt.hankel_singular_values(model)
+        h2 = tibt.hankel_singular_values(model.dual())
         assert np.allclose(h1, h2, rtol=1e-10)
 
     def test_values_descending(self):
         hsv = tibt.hankel_singular_values(tibt.random_stable(20, 2, 2, seed=2))
-        assert np.all(np.diff(hsv.values) <= 0)
+        assert np.all(np.diff(hsv) <= 0)
 
 
 class TestIsHurwitz:
