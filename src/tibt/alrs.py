@@ -63,8 +63,8 @@ class AlrsConfig:
     """Run parameters: initial rank, rank increment, tolerance, per-stage and
     total iteration caps, and the seed for the arbitrary starting pair.
 
-    ``tol`` stops the rank growth (smallest over largest retained value) and,
-    unless ``stage_tol`` overrides it, also detects per-stage stagnation.
+    ``tol`` stops the rank growth (smallest over largest retained value) and
+    also detects per-stage stagnation.
     """
 
     r0: int = 2
@@ -73,7 +73,6 @@ class AlrsConfig:
     i_max: int = 5
     k_max: int = 100
     seed: int = 0
-    stage_tol: float | None = None
 
     def __post_init__(self):
         for name in ("r0", "dr", "i_max", "k_max", "seed"):
@@ -86,12 +85,6 @@ class AlrsConfig:
             raise ValueError("r0, dr, i_max, k_max must all be >= 1")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        if self.stage_tol is not None and not 0.0 < self.stage_tol < 1.0:
-            raise ValueError("stage_tol must lie in (0, 1)")
-
-    @property
-    def effective_stage_tol(self) -> float:
-        return self.tol if self.stage_tol is None else self.stage_tol
 
 
 @dataclass(frozen=True)
@@ -174,7 +167,7 @@ class _RankLadder:
         s_r = s[:self.r].copy()
         self.history.append(IterationRecord(k=len(self.history) + 1, i=self.i,
                                             r=self.r, values=s_r))
-        stage_done = (padded_change(s_r, self.s_prev) <= cfg.effective_stage_tol
+        stage_done = (padded_change(s_r, self.s_prev) <= cfg.tol
                       or self.i >= cfg.i_max)
         if stage_done:
             self.r += cfg.dr

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alrs import LowRankGramian
 from .errors import DenseInfeasibleError, DimensionMismatchError
 from .reducers import ReducedModel
-from .system import GramianPair, StateSpaceModel, eval_transfer, gramians_dense
+from .system import StateSpaceModel, eval_transfer
 
 __all__ = [
     "FreqGrid",
@@ -86,12 +85,11 @@ def _spectrum_abs_range(model):
     return min(lo, hi), max(lo, hi)
 
 
-def gramian_rel_error(p_exact, factor) -> float:
-    """Spectral-norm relative error ``||P - V Pr V^T||_2 / ||P||_2`` via a
+def gramian_rel_error(p_exact, approx) -> float:
+    """Spectral-norm relative error ``||P - P_approx||_2 / ||P||_2`` via a
     symmetric eigensolve of the difference."""
     p_exact = np.asarray(p_exact, dtype=float)
-    approx = factor.reconstruct() if isinstance(factor, LowRankGramian) \
-        else np.asarray(factor, dtype=float)
+    approx = np.asarray(approx, dtype=float)
     if approx.shape != p_exact.shape:
         raise DimensionMismatchError(
             f"shapes {approx.shape} and {p_exact.shape} differ")
@@ -101,15 +99,12 @@ def gramian_rel_error(p_exact, factor) -> float:
 
 
 def pq_rel_error(model: StateSpaceModel, red: ReducedModel,
-                 dense_cap: int = DENSE_CAP_DEFAULT,
-                 gramians: GramianPair | None = None) -> float:
+                 dense_cap: int = DENSE_CAP_DEFAULT) -> float:
     """Relative spectral-norm error of the Gramian product,
-    ``||PQ - (V Pr V^T)(W Qr W^T)||_2 / ||PQ||_2``. Pass the model's dense
-    ``gramians`` when they are already at hand."""
+    ``||PQ - (V Pr V^T)(W Qr W^T)||_2 / ||PQ||_2``."""
     if model.n > dense_cap:
         raise DenseInfeasibleError(f"n = {model.n} exceeds dense cap {dense_cap}")
-    gram = gramians_dense(model) if gramians is None else gramians
-    rom_gram = gramians_dense(red.rom)
+    gram, rom_gram = model.gramians, red.rom.gramians
     approx = (red.Vr @ rom_gram.P @ red.Vr.T) @ (red.Wr @ rom_gram.Q @ red.Wr.T)
     exact = gram.P @ gram.Q
     num = np.linalg.norm(exact - approx, 2)

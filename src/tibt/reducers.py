@@ -24,12 +24,7 @@ from .linalg import (
     solve_lyapunov_dense,
     solve_sylvester_skinny,
 )
-from .system import (
-    GramianPair,
-    StateSpaceModel,
-    gramians_dense,
-    require_hurwitz,
-)
+from .system import StateSpaceModel, require_hurwitz
 
 __all__ = [
     "ReducedModel",
@@ -148,8 +143,7 @@ def bt_from_factors(model: StateSpaceModel, zp, zq, r) -> ReducedModel:
                         retained_sv=s[:r].copy())
 
 
-def bt_square_root(model: StateSpaceModel, r,
-                   gramians: GramianPair | None = None) -> ReducedModel:
+def bt_square_root(model: StateSpaceModel, r) -> ReducedModel:
     """Balanced truncation to order ``r`` by the square-root method.
 
     The ROM's controllability and observability Gramians both equal
@@ -159,14 +153,13 @@ def bt_square_root(model: StateSpaceModel, r,
     Raises
     ------
     NonHurwitzError
-        If the model is unstable (raised by :func:`~tibt.system.gramians_dense`).
+        If the model is unstable (raised by its
+        :attr:`~tibt.system.StateSpaceModel.gramians`).
     SingularValueTieError
         If ``sigma_r`` and ``sigma_{r+1}`` coincide to 1e-12 relative.
     """
-    if gramians is None:
-        gramians = gramians_dense(model)
-    lp = psd_factor(gramians.P)
-    lq = psd_factor(gramians.Q)
+    lp = psd_factor(model.gramians.P)
+    lq = psd_factor(model.gramians.Q)
     return bt_from_factors(model, lp, lq, r)
 
 
@@ -180,22 +173,16 @@ def _eig_truncation(model, gram, r):
     return replace(red, retained_sv=w[:r].copy())
 
 
-def tcr(model: StateSpaceModel, r,
-        gramians: GramianPair | None = None) -> ReducedModel:
+def tcr(model: StateSpaceModel, r) -> ReducedModel:
     """Truncated controllable realization: keep the r most controllable
     states (top eigenvectors of P, a Galerkin projection)."""
-    if gramians is None:
-        gramians = gramians_dense(model)
-    return _eig_truncation(model, gramians.P, r)
+    return _eig_truncation(model, model.gramians.P, r)
 
 
-def tor(model: StateSpaceModel, r,
-        gramians: GramianPair | None = None) -> ReducedModel:
+def tor(model: StateSpaceModel, r) -> ReducedModel:
     """Truncated observable realization: keep the r most observable states
     (top eigenvectors of Q, a Galerkin projection)."""
-    if gramians is None:
-        gramians = gramians_dense(model)
-    return _eig_truncation(model, gramians.Q, r)
+    return _eig_truncation(model, model.gramians.Q, r)
 
 
 def _realify_points(points, dirs, what):
@@ -437,8 +424,7 @@ def h2_optimality_residuals(model: StateSpaceModel, red: ReducedModel) -> dict:
     """
     rom = red.rom
     phat, qhat = solve_coupling_pair(model, rom)
-    rom_gram = gramians_dense(rom)
-    pr, qr = rom_gram.P, rom_gram.Q
+    pr, qr = rom.gramians.P, rom.gramians.Q
 
     def _rel(lhs, ref):
         # one exact power-of-two scaling keeps the squared entries normal

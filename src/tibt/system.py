@@ -1,13 +1,17 @@
 """LTI state-space models: transfer evaluation, Gramians, Hankel values.
 
-Models are immutable after construction; every operation is a pure function.
-Complex arithmetic is confined to transfer evaluation and the pole-residue
-form; everything else stays real.
+Models are immutable after construction, and every operation is a pure
+function. The dense Gramians of a model are solved on first read of
+:attr:`StateSpaceModel.gramians` and kept on it, so every dense reference
+built from them (Hankel values, balanced truncation, TCR/TOR, the
+PQ-product error) shares one solve. Complex arithmetic is confined to
+transfer evaluation and the pole-residue form; everything else stays real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +76,12 @@ class StateSpaceModel:
     @property
     def p(self) -> int:
         return self.C.shape[0]
+
+    @cached_property
+    def gramians(self) -> GramianPair:
+        """The dense Gramians (:func:`gramians_dense`), solved on first read
+        and kept on the model."""
+        return gramians_dense(self)
 
     def dual(self) -> "StateSpaceModel":
         """The dual realization (A^T, C^T, B^T)."""
@@ -149,8 +159,7 @@ def gramians_dense(model: StateSpaceModel) -> GramianPair:
     return GramianPair(P=p, Q=q)
 
 
-def hankel_singular_values(model: StateSpaceModel,
-                           gramians: GramianPair | None = None) -> np.ndarray:
+def hankel_singular_values(model: StateSpaceModel) -> np.ndarray:
     """Hankel singular values ``sigma_i = sqrt(lambda_i(PQ))``, largest
     first.
 
@@ -158,10 +167,8 @@ def hankel_singular_values(model: StateSpaceModel,
     ``L_q^T L_p`` (never through an unsymmetric eigenproblem on PQ), which
     stays accurate for tiny values.
     """
-    if gramians is None:
-        gramians = gramians_dense(model)
-    lp = psd_factor(gramians.P)
-    lq = psd_factor(gramians.Q)
+    lp = psd_factor(model.gramians.P)
+    lq = psd_factor(model.gramians.Q)
     return ordered_svd(lq.T @ lp)[1]
 
 

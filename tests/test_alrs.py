@@ -24,10 +24,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             AlrsConfig(k_max=0)
 
-    def test_stage_tol_defaults_to_tol(self):
-        assert AlrsConfig(tol=1e-5).effective_stage_tol == 1e-5
-        assert AlrsConfig(tol=1e-5, stage_tol=1e-7).effective_stage_tol == 1e-7
-
 
 class TestPaddedChange:
     def test_equal_vectors(self):
@@ -126,7 +122,19 @@ class TestAlrsLyap:
         res = tibt.alrs_lyap(m.A, m.B, cfg)
         assert res.converged
         gram = tibt.gramians_dense(m)
-        assert tibt.gramian_rel_error(gram.P, res.factor) <= 1e-5
+        assert tibt.gramian_rel_error(gram.P, res.factor.reconstruct()) <= 1e-5
+
+    @pytest.mark.xfail(
+        reason="extend_orthonormal floors its drop threshold at an absolute "
+               "ORTH_DROP_RTOL, so a small B's later directions are all "
+               "dropped and the run stops early flagged converged (ROADMAP "
+               "item 1: the drop-rule floor)",
+    )
+    def test_scaled_input_reaches_unscaled_rank(self):
+        m = tibt.heat_rod(30)
+        res = tibt.alrs_lyap(m.A, 1e-10 * m.B, AlrsConfig())
+        assert res.factor.rank == 8
+        assert res.residual <= 1e-4
 
     def test_residual_diagnostic_on_heat_rod(self):
         m = tibt.heat_rod(1000)
@@ -214,7 +222,6 @@ class TestAlrsLyap:
         assert w.min() >= -1e-10 * max(w.max(), 1.0)
 
     @pytest.mark.xfail(
-        strict=True,
         reason="early sweeps overshoot the top value from arbitrary starting "
                "data, so strict within-stage monotonicity fails at the 1e-10 "
                "level (README: known limitations); it does hold once the "

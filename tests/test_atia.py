@@ -44,7 +44,6 @@ class TestAtiaBt:
         assert np.max(rel) <= 1e-4
 
     @pytest.mark.xfail(
-        strict=True,
         reason="the asymmetric heat rod stops after a short rank ladder, so "
                "the fixed point's bases are too thin to refine the trailing "
                "Hankel estimates to 1e-4 (README: known limitations)",

@@ -382,6 +382,7 @@ class TestConfigValidation:
         ({"task": "compare", "tols": [1e-3], "alg": {"tol": 0.5}}, "tol"),
         ({"task": "compare", "tols": [1e-3], "r": 4}, "r"),
         ({"task": "solve-lyap", "side": "bogus"}, "side"),
+        ({"task": "atia-bt", "alg": {"stage_tol": 1e-6}}, "stage_tol"),
     ], ids=lambda param: param if isinstance(param, str) else param["task"])
     def test_unread_or_bad_key_rejected_before_model_built(
             self, tmp_path, capsys, monkeypatch, body, key):

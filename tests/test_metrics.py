@@ -82,7 +82,7 @@ class TestGramianRelError:
         m = tibt.heat_rod(200)
         res = tibt.alrs_lyap(m.A, m.B, tibt.AlrsConfig(tol=1e-6, seed=0))
         gram = tibt.gramians_dense(m)
-        assert tibt.gramian_rel_error(gram.P, res.factor) <= 1e-5
+        assert tibt.gramian_rel_error(gram.P, res.factor.reconstruct()) <= 1e-5
 
 
 class TestPqRelError:
@@ -129,7 +129,6 @@ class TestHinfRelError:
         assert abs(ratio - 1.0) <= 1e-6
 
     @pytest.mark.xfail(
-        strict=True,
         reason="the adaptive reducer's thin fixed-point bases on the "
                "asymmetric heat rod keep its error above twice dense BT "
                "(README: known limitations)",

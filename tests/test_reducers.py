@@ -197,9 +197,9 @@ class TestTangentialInterpolate:
         # interpolation at TCR mirror poles / input residuals tracks the
         # TCR's own controllability error across orders
         m = tibt.random_stable(60, 2, 2, seed=0)
-        gram = tibt.gramians_dense(m)
+        gram = m.gramians
         for r in range(2, 13, 2):
-            tc = tibt.tcr(m, r, gramians=gram)
+            tc = tibt.tcr(m, r)
             pr = tibt.pole_residue(tc.rom)
             data = tibt.InterpolationData.from_points(-pr.poles, pr.right,
                                                       -pr.poles, pr.right)

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 import tibt
+import tibt.linalg
 from tibt.errors import RepeatedPolesError, TibtError
 from tibt.linalg import TridiagonalOperator
 
@@ -102,6 +105,29 @@ class TestGramians:
             gq = model.C.T @ model.C
             assert np.linalg.norm(a @ g.P + g.P @ a.T + gp) <= 1e-9 * max(1.0, np.linalg.norm(gp))
             assert np.linalg.norm(a.T @ g.Q + g.Q @ a + gq) <= 1e-9 * max(1.0, np.linalg.norm(gq))
+
+    def test_solved_once_per_model(self, monkeypatch):
+        n = 60
+        sizes = []
+        solve = tibt.linalg.solve_lyapunov_dense
+
+        def counting(a, g):
+            sizes.append(len(a))
+            return solve(a, g)
+
+        # every module that imported the solver calls it through its own name
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "tibt"
+                    and getattr(module, "solve_lyapunov_dense", None) is solve):
+                monkeypatch.setattr(module, "solve_lyapunov_dense", counting)
+        model = tibt.random_stable(n, 2, 2, seed=1)
+        tibt.hankel_singular_values(model)
+        bt = tibt.bt_square_root(model, 4)
+        tibt.tcr(model, 4)
+        tibt.tor(model, 4)
+        tibt.pq_rel_error(model, bt)
+        assert sizes.count(n) == 2
+        assert model.gramians is model.gramians
 
 
 class TestHankelSingularValues:
