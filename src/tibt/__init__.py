@@ -40,6 +40,7 @@ from .linalg import (
     orthonormalize,
     psd_factor,
     solve_lyapunov_dense,
+    solve_lyapunov_pair,
     solve_sylvester_skinny,
 )
 from .metrics import FreqGrid, gramian_rel_error, hinf_rel_error, pq_rel_error, sigma_sweep

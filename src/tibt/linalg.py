@@ -6,14 +6,29 @@ kernel touches is the floating-point mode: the tridiagonal shifted solve
 sets flush-to-zero around its LAPACK call (see
 :meth:`TridiagonalOperator.shifted_solve`). That mode is per thread and is
 restored before the solve returns, so concurrent callers are unaffected.
+
+From order ``PAIR_THREAD_MIN_N`` on, :func:`solve_lyapunov_pair` runs one
+of its two ``trsyl`` back-substitutions on a worker thread while the caller
+runs the other.
+Every ``trsyl`` goes through one ctypes binding of scipy's
+``cython_lapack`` ``dtrsyl``, and ctypes releases the GIL for the call, so
+the two overlap. The worker makes only that call. It writes only its own
+right-hand-side array, which nothing else touches until the worker is
+joined, and it may share the quasi-triangular factor with the caller's
+call, read-only. Its ``(scale, info)`` is checked and any error is raised
+in the caller, and the thread has ended when the function returns. Each
+back-substitution reads only its own inputs, so the results do not depend
+on how the two threads are scheduled.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import sys
 from abc import ABC, abstractmethod
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -34,6 +49,7 @@ __all__ = [
     "TridiagonalOperator",
     "as_operator",
     "solve_lyapunov_dense",
+    "solve_lyapunov_pair",
     "solve_sylvester_skinny",
     "orthonormalize",
     "cgs2",
@@ -55,6 +71,12 @@ PANEL_ROWS = 4096
 # Eigenvalues of a PSD matrix below this fraction of the largest one are
 # clipped to zero when factoring.
 PSD_CLIP_RTOL = 1e-14
+
+# Below this order the two trsyl calls of solve_lyapunov_pair run one after
+# the other in the caller: starting a worker thread (0.3-0.5 ms on a 2-vCPU
+# x86-64 VM) costs more than the overlap saves there, and the two break even
+# near n = 100.
+PAIR_THREAD_MIN_N = 128
 
 
 def _probe_fenv():
@@ -369,13 +391,50 @@ def solve_lyapunov_dense(a, g):
     SingularSeparationError
         If some eigenvalue pair satisfies ``lambda_i + lambda_j ~ 0``.
     """
+    a, g = _lyapunov_operands(a, g)
+    t, u = _hurwitz_schur(a)
+    y = _schur_rhs(u, g)
+    return _from_schur(u, y, *_trsyl(t, y))
+
+
+def solve_lyapunov_pair(a, gp, gq):
+    """Solve ``A P + P A^T + G_p = 0`` and ``A^T Q + Q A + G_q = 0``.
+
+    The results are bitwise those of ``solve_lyapunov_dense(a, gp)`` and
+    ``solve_lyapunov_dense(a.T, gq)``, with the errors those calls raise.
+    A symmetric ``A`` gives both equations one Schur form. From order
+    ``PAIR_THREAD_MIN_N`` on, the two ``trsyl`` back-substitutions run at
+    the same time, one on a worker thread (see the module docstring).
+    """
+    a, gp, gq = _lyapunov_operands(a, gp, gq)
+    tp, up = _hurwitz_schur(a)
+    # schur(a.T) is bitwise schur(a) when A is symmetric
+    tq, uq = (tp, up) if np.array_equal(a, a.T) else _hurwitz_schur(a.T)
+    yp, yq = _schur_rhs(up, gp), _schur_rhs(uq, gq)
+    if len(a) < PAIR_THREAD_MIN_N:
+        p_run, q_run = _trsyl(tp, yp), _trsyl(tq, yq)
+    else:
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tibt-trsyl") as worker:
+            q_future = worker.submit(_trsyl, tq, yq)
+            p_run = _trsyl(tp, yp)
+        q_run = q_future.result()
+    return _from_schur(up, yp, *p_run), _from_schur(uq, yq, *q_run)
+
+
+def _lyapunov_operands(a, *gs):
     a = np.asarray(a, dtype=float)
-    g = np.asarray(g, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"A must be square, got shape {a.shape}")
-    if g.shape != a.shape:
-        raise ValueError(f"G must match A, got {g.shape} vs {a.shape}")
+    gs = [np.asarray(g, dtype=float) for g in gs]
+    for g in gs:
+        if g.shape != a.shape:
+            raise ValueError(f"G must match A, got {g.shape} vs {a.shape}")
+    return a, *gs
 
+
+def _hurwitz_schur(a):
+    """Real Schur form ``(t, u)`` of ``a``, whose Lyapunov equation is
+    checked to be stable and nonsingular."""
     t, u = sla.schur(a, output="real")
     # LAPACK gives each 2x2 block equal diagonal entries, so diag(t) holds the
     # real parts of the eigenvalues, and min |lambda_i + lambda_j| = -2 re_max
@@ -385,10 +444,20 @@ def solve_lyapunov_dense(a, g):
     if -2.0 * re_max <= 1e-12:
         raise SingularSeparationError(
             "eigenvalue pair with lambda_i + lambda_j ~ 0; equation singular")
+    return t, u
 
-    ghat = u.T @ g @ u
-    trsyl = sla.get_lapack_funcs("trsyl", (t, ghat))
-    y, scale, info = trsyl(t, t, -ghat, tranb="C")
+
+def _schur_rhs(u, g):
+    """``-u^T g u`` in a fresh Fortran-ordered array, for :func:`_trsyl` to
+    overwrite with its solution."""
+    y = np.empty(g.shape, order="F")
+    np.negative(u.T @ g @ u, out=y)
+    return y
+
+
+def _from_schur(u, y, scale, info):
+    """``P = u (y / scale) u^T``, symmetrized, from a :func:`_trsyl` solution
+    ``y``; raises on its ``info``."""
     if info == 1:
         raise SingularSeparationError(
             "trsyl perturbed nearly-common eigenvalues; equation singular")
@@ -396,6 +465,48 @@ def solve_lyapunov_dense(a, g):
         raise ValueError(f"illegal argument {-info} passed to trsyl")
     p = u @ (y / scale) @ u.T
     return 0.5 * (p + p.T)
+
+
+@functools.cache
+def _dtrsyl():
+    # LAPACK dtrsyl from the C-API capsule of scipy.linalg.cython_lapack;
+    # its name is the C signature, which PyCapsule_GetPointer must be given.
+    # Calls through a CFUNCTYPE release the GIL.
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dtrsyl"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    char, int_p, array = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    # trana, tranb, isgn, m, n, a, lda, b, ldb, c, ldc, scale, info
+    signature = ctypes.CFUNCTYPE(None, char, char, int_p, int_p, int_p, array, int_p,
+                                 array, int_p, array, int_p,
+                                 ctypes.POINTER(ctypes.c_double), int_p)
+    return signature(get_pointer(capsule, get_name(capsule)))
+
+
+def _trsyl(t, y):
+    """Overwrite ``y`` with the ``X`` of ``T X + X T^T = scale * Y`` (LAPACK
+    ``dtrsyl``) for quasi-triangular ``t``; returns ``(scale, info)``.
+
+    Both arrays are n-by-n, float64 and Fortran-ordered. The LAPACK call
+    runs without the GIL, touching only these two arrays.
+    """
+    n = t.shape[0]
+    for arr in (t, y):
+        if arr.shape != (n, n) or arr.dtype != np.float64 or not arr.flags.f_contiguous:
+            raise ValueError("trsyl needs two equal square Fortran-ordered float64 arrays")
+    if not y.flags.writeable:
+        raise ValueError("trsyl overwrites its right-hand side, which is read-only")
+    isgn, dim = ctypes.c_int(1), ctypes.c_int(n)
+    scale, info = ctypes.c_double(), ctypes.c_int()
+    dim_p = ctypes.byref(dim)
+    _dtrsyl()(b"N", b"T", ctypes.byref(isgn), dim_p, dim_p, t.ctypes.data, dim_p,
+              t.ctypes.data, dim_p, y.ctypes.data, dim_p, ctypes.byref(scale),
+              ctypes.byref(info))
+    return scale.value, info.value
 
 
 def _complex_pair_solve(op, tblock, rhs):

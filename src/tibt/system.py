@@ -22,7 +22,7 @@ from .linalg import (
     as_operator,
     ordered_svd,
     psd_factor,
-    solve_lyapunov_dense,
+    solve_lyapunov_pair,
 )
 
 __all__ = [
@@ -83,6 +83,11 @@ class StateSpaceModel:
         and kept on the model."""
         return gramians_dense(self)
 
+    @cached_property
+    def _complex_c(self) -> np.ndarray:
+        # C promoted once, not by every complex product in eval_transfer
+        return self.C.astype(complex)
+
     def dual(self) -> "StateSpaceModel":
         """The dual realization (A^T, C^T, B^T)."""
         return StateSpaceModel(self.A.transpose(), self.C.T, self.B.T)
@@ -117,6 +122,9 @@ class PoleResidue:
 def eval_transfer(model: StateSpaceModel, s) -> np.ndarray:
     """Evaluate ``H(s) = C (sI - A)^{-1} B`` via one shifted solve."""
     x = model.A.shifted_solve(s, model.B)  # (A - sI) x = B
+    if np.iscomplexobj(x):
+        # negation is exact, so this is bitwise C @ (-x)
+        return -(model._complex_c @ x)
     return np.asarray(model.C @ (-x), dtype=complex)
 
 
@@ -153,9 +161,8 @@ def pole_residue(model: StateSpaceModel) -> PoleResidue:
 def gramians_dense(model: StateSpaceModel) -> GramianPair:
     """Solve the two Lyapunov equations for the controllability and
     observability Gramians (dense path)."""
-    a = model.A.to_dense()
-    p = solve_lyapunov_dense(a, model.B @ model.B.T)
-    q = solve_lyapunov_dense(a.T, model.C.T @ model.C)
+    p, q = solve_lyapunov_pair(model.A.to_dense(), model.B @ model.B.T,
+                               model.C.T @ model.C)
     return GramianPair(P=p, Q=q)
 
 

@@ -5,9 +5,13 @@ independent reference implementations the equation solvers are checked
 against, so they must not share any code path with the package.
 """
 
+import sys
+
 import numpy as np
+import pytest
 
 import tibt
+import tibt.linalg
 
 
 def kron_lyapunov(a, g):
@@ -114,3 +118,37 @@ class AbsorbedColumns:
         width = basis.shape[1]
         self.total += width if record.i == 1 else width - self._width
         self._width = width
+
+
+def damped_chain(n_mass=100, k=100.0, alpha=1.0, beta=0.2):
+    """N unit masses with stiffness K = k tridiag(-1, 2, -1) and damping
+    D = alpha I + beta K: A = [[0, I], [-K, -D]] with n = 2N, a force on
+    mass 1 in and the position of mass N out."""
+    stiff = k * (2.0 * np.eye(n_mass) - np.eye(n_mass, k=1) - np.eye(n_mass, k=-1))
+    damp = alpha * np.eye(n_mass) + beta * stiff
+    a = np.block([[np.zeros((n_mass, n_mass)), np.eye(n_mass)], [-stiff, -damp]])
+    b = np.zeros((2 * n_mass, 1))
+    b[n_mass, 0] = 1.0
+    c = np.zeros((1, 2 * n_mass))
+    c[0, n_mass - 1] = 1.0
+    return tibt.StateSpaceModel(a, b, c)
+
+
+@pytest.fixture
+def lyapunov_solves(monkeypatch):
+    """The dense Lyapunov solves a test makes, as ``(name, n)`` pairs in call
+    order: ``name`` is ``"solve_lyapunov_pair"`` or ``"solve_lyapunov_dense"``
+    and ``n`` the order of A."""
+    calls = []
+    for fn_name in ("solve_lyapunov_pair", "solve_lyapunov_dense"):
+        solve = getattr(tibt.linalg, fn_name)
+
+        def counting(a, *gs, solve=solve, fn_name=fn_name):
+            calls.append((fn_name, len(a)))
+            return solve(a, *gs)
+
+        # every module that imported the solver calls it through its own name
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tibt" and getattr(module, fn_name, None) is solve:
+                monkeypatch.setattr(module, fn_name, counting)
+    return calls

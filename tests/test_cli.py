@@ -1,10 +1,12 @@
 import importlib.util
 import json
 import os
+import re
 import sys
 
 import numpy as np
 import pytest
+from conftest import damped_chain
 
 import tibt
 import tibt.linalg
@@ -414,27 +416,18 @@ class TestDenseGramiansOnce:
         {"task": "solve-lyap"},
         {"task": "compare", "tols": [1e-3, 1e-4], "grid_points": 60},
     ], ids=lambda body: body["task"])
-    def test_two_full_size_lyapunov_solves(self, tmp_path, monkeypatch, body):
+    def test_two_full_size_lyapunov_solves(self, tmp_path, lyapunov_solves, body):
         n = 60
-        sizes = []
-        solve = tibt.linalg.solve_lyapunov_dense
-
-        def counting(a, g):
-            sizes.append(len(a))
-            return solve(a, g)
-
-        # every module that imported the solver calls it through its own name
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "tibt"
-                    and getattr(module, "solve_lyapunov_dense", None) is solve):
-                monkeypatch.setattr(module, "solve_lyapunov_dense", counting)
         cfg = write_config(tmp_path,
                            model={"kind": "random_stable", "n": n, "m": 2,
                                   "p": 2, "seed": 1},
                            output_dir=str(tmp_path / "out"), **body)
         assert main(["run", cfg]) == 0
-        # solve-lyap solves only for the Gramian it reports
-        assert sizes.count(n) == (1 if body["task"] == "solve-lyap" else 2)
+        # one pair call solves both Gramians; solve-lyap solves only for
+        # the Gramian it reports
+        single = body["task"] == "solve-lyap"
+        assert [name for name, size in lyapunov_solves if size == n] == \
+            ["solve_lyapunov_dense" if single else "solve_lyapunov_pair"]
 
 
 class TestSolveLyap:
@@ -521,6 +514,30 @@ class TestCompare:
         assert main(["compare", cfg]) == 2
         _, rows = read_csv(out / "comparison.csv")
         assert rows[0][4] == "false"
+
+    @pytest.mark.parametrize("task", ["atia-bt", "compare"])
+    def test_unstable_rom_warned(self, tmp_path, capsys, task):
+        # the damped chain at seed 2 ends on an order-2 ROM with max
+        # Re lambda = 1.03
+        chain = damped_chain()
+        model = write_matrix_market(tmp_path, chain.A.to_dense(), chain.B, chain.C)
+        body = {"tols": [1e-5]} if task == "compare" else {"alg": {"tol": 1e-5}}
+        cfg = write_config(tmp_path, model=model, task=task, seed=2, grid_points=60,
+                           output_dir=str(tmp_path / "out"), **body)
+        main(["run", cfg])
+        (line,) = capsys.readouterr().err.splitlines()
+        what = "compare at tol 1e-05" if task == "compare" else task
+        assert re.fullmatch(rf"warning: {what} produced an order-2 ROM that is not "
+                            r"Hurwitz \(max Re lambda = 1\.03\de\+00\)", line)
+
+    def test_stable_rom_not_warned(self, tmp_path, capsys):
+        cfg = write_config(tmp_path,
+                           model={"kind": "random_stable", "n": 60, "m": 2,
+                                  "p": 2, "seed": 1},
+                           task="compare", tols=[1e-3], grid_points=60,
+                           output_dir=str(tmp_path / "out"))
+        assert main(["run", cfg]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestReproducibility:

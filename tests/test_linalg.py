@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,6 +17,7 @@ from tibt.errors import (
 )
 from tibt.linalg import (
     ORTH_DROP_RTOL,
+    PAIR_THREAD_MIN_N,
     PANEL_ROWS,
     DenseOperator,
     TridiagonalOperator,
@@ -24,6 +28,7 @@ from tibt.linalg import (
     orthonormalize,
     psd_factor,
     solve_lyapunov_dense,
+    solve_lyapunov_pair,
     solve_sylvester_skinny,
 )
 
@@ -109,6 +114,134 @@ class TestSolveLyapunovDense:
         a = np.array([[0.0, 2.0], [-0.5, 0.0]])
         with pytest.raises(NonHurwitzError, match=r"Re = 0\.000e\+00 >= 0"):
             solve_lyapunov_dense(a, np.eye(2))
+
+
+def pair_solve(a, g):
+    return solve_lyapunov_pair(a, g, g)[0]
+
+
+class TestTrsylBinding:
+    @pytest.mark.parametrize("n", [1, 2, 65, 300])
+    def test_bitwise_equal_to_scipy_trsyl(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        # a shifted skew-symmetric matrix: a conjugate pair per 2x2 block
+        t, u = sla.schur(m - m.T - np.eye(n), output="real")
+        assert np.count_nonzero(np.diag(t, -1)) == n // 2
+        g = rng.standard_normal((n, n))
+        ghat = u.T @ (g + g.T) @ u
+        x, scale, info = sla.get_lapack_funcs("trsyl", (t, ghat))(t, t, -ghat, tranb="C")
+        y = np.asfortranarray(-ghat)
+        assert linalg._trsyl(t, y) == (scale, info)
+        assert np.array_equal(y, x)
+
+    def test_rejects_arrays_it_cannot_write_in_place(self):
+        t = np.asfortranarray(np.diag([-1.0, -2.0]))
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            linalg._trsyl(t, np.ones((2, 2))[:, ::-1])
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            linalg._trsyl(t, np.ones((3, 3), order="F"))
+        frozen = np.ones((2, 2), order="F")
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            linalg._trsyl(t, frozen)
+
+
+class TestSolveLyapunovPair:
+    @staticmethod
+    def operands(n, symmetric):
+        rng = np.random.default_rng(n)
+        a = random_hurwitz(n, n)
+        if symmetric:
+            a = a + a.T
+        b = rng.standard_normal((n, 2))
+        c = rng.standard_normal((3, n))
+        return a, b @ b.T, c.T @ c
+
+    @pytest.mark.parametrize("n", [80, PAIR_THREAD_MIN_N])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_bitwise_equal_to_two_single_solves(self, symmetric, n, monkeypatch):
+        a, gp, gq = self.operands(n, symmetric)
+        schur_forms = []
+        hurwitz_schur = linalg._hurwitz_schur
+        monkeypatch.setattr(linalg, "_hurwitz_schur",
+                            lambda m: schur_forms.append(m) or hurwitz_schur(m))
+        p, q = solve_lyapunov_pair(a, gp, gq)
+        # a symmetric A gives both equations one Schur form
+        assert len(schur_forms) == (1 if symmetric else 2)
+        assert np.array_equal(p, solve_lyapunov_dense(a, gp))
+        assert np.array_equal(q, solve_lyapunov_dense(a.T, gq))
+
+    @pytest.mark.parametrize("n", [PAIR_THREAD_MIN_N - 1, PAIR_THREAD_MIN_N])
+    def test_back_substitutions_share_the_caller_below_the_threshold(
+            self, n, monkeypatch):
+        a, gp, gq = self.operands(n, False)
+        threads = []
+        trsyl = linalg._trsyl
+        monkeypatch.setattr(linalg, "_trsyl", lambda t, y: threads.append(
+            threading.current_thread()) or trsyl(t, y))
+        before = threading.active_count()
+        solve_lyapunov_pair(a, gp, gq)
+        assert threading.active_count() == before
+        assert len(threads) == 2
+        assert threading.current_thread() in threads
+        assert (threads[0] is threads[1]) is (n < PAIR_THREAD_MIN_N)
+
+    @pytest.mark.parametrize("solve", [solve_lyapunov_dense, pair_solve])
+    def test_error_messages(self, solve):
+        with pytest.raises(NonHurwitzError,
+                           match=r"^A has an eigenvalue with Re = 1\.000e\+00 >= 0$"):
+            solve(np.array([[1.0]]), np.array([[1.0]]))
+        with pytest.raises(SingularSeparationError,
+                           match=r"^eigenvalue pair with lambda_i \+ lambda_j ~ 0; "
+                                 r"equation singular$"):
+            solve(np.array([[-1e-14, 1.0], [-1.0, -1e-14]]), np.eye(2))
+        with pytest.raises(ValueError, match=r"^G must match A"):
+            solve(-np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("failure", ["info", "raise"])
+    def test_failing_worker_equation_raises_in_the_caller(self, failure, monkeypatch):
+        a, gp, gq = self.operands(PAIR_THREAD_MIN_N, True)
+        trsyl = linalg._trsyl
+
+        def failing_off_the_caller(t, y):
+            if threading.current_thread() is threading.main_thread():
+                return trsyl(t, y)
+            if failure == "raise":
+                raise ValueError("worker failed")
+            return 1.0, 1
+
+        monkeypatch.setattr(linalg, "_trsyl", failing_off_the_caller)
+        before = threading.active_count()
+        expected = ((SingularSeparationError, "trsyl perturbed nearly-common")
+                    if failure == "info" else (ValueError, "worker failed"))
+        with pytest.raises(expected[0], match=expected[1]):
+            solve_lyapunov_pair(a, gp, gq)
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_get_their_own_results(self):
+        cases = [self.operands(PAIR_THREAD_MIN_N + k, k % 2 == 0) for k in range(4)]
+        expected = [(solve_lyapunov_dense(a, gp), solve_lyapunov_dense(a.T, gq))
+                    for a, gp, gq in cases]
+        results = [None] * len(cases)
+
+        def run(i):
+            for _ in range(3):
+                results[i] = solve_lyapunov_pair(*cases[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for (p, q), (p_ref, q_ref) in zip(results, expected):
+            assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
 
 
 class TestRealSchurStandardized:
