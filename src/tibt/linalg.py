@@ -7,9 +7,8 @@ sets flush-to-zero around its LAPACK call (see
 :meth:`TridiagonalOperator.shifted_solve`). That mode is per thread and is
 restored before the solve returns, so concurrent callers are unaffected.
 
-From order ``PAIR_THREAD_MIN_N`` on, :func:`solve_lyapunov_pair` runs one
-of its two ``trsyl`` back-substitutions on a worker thread while the caller
-runs the other.
+:func:`solve_lyapunov_pair` runs one of its two ``trsyl``
+back-substitutions on a worker thread while the caller runs the other.
 Every ``trsyl`` goes through one ctypes binding of scipy's
 ``cython_lapack`` ``dtrsyl``, and ctypes releases the GIL for the call, so
 the two overlap. The worker makes only that call. It writes only its own
@@ -71,12 +70,6 @@ PANEL_ROWS = 4096
 # Eigenvalues of a PSD matrix below this fraction of the largest one are
 # clipped to zero when factoring.
 PSD_CLIP_RTOL = 1e-14
-
-# Below this order the two trsyl calls of solve_lyapunov_pair run one after
-# the other in the caller: starting a worker thread (0.3-0.5 ms on a 2-vCPU
-# x86-64 VM) costs more than the overlap saves there, and the two break even
-# near n = 100.
-PAIR_THREAD_MIN_N = 128
 
 
 def _probe_fenv():
@@ -402,22 +395,19 @@ def solve_lyapunov_pair(a, gp, gq):
 
     The results are bitwise those of ``solve_lyapunov_dense(a, gp)`` and
     ``solve_lyapunov_dense(a.T, gq)``, with the errors those calls raise.
-    A symmetric ``A`` gives both equations one Schur form. From order
-    ``PAIR_THREAD_MIN_N`` on, the two ``trsyl`` back-substitutions run at
-    the same time, one on a worker thread (see the module docstring).
+    A symmetric ``A`` gives both equations one Schur form. The two
+    ``trsyl`` back-substitutions run at the same time, one on a worker
+    thread (see the module docstring).
     """
     a, gp, gq = _lyapunov_operands(a, gp, gq)
     tp, up = _hurwitz_schur(a)
     # schur(a.T) is bitwise schur(a) when A is symmetric
     tq, uq = (tp, up) if np.array_equal(a, a.T) else _hurwitz_schur(a.T)
     yp, yq = _schur_rhs(up, gp), _schur_rhs(uq, gq)
-    if len(a) < PAIR_THREAD_MIN_N:
-        p_run, q_run = _trsyl(tp, yp), _trsyl(tq, yq)
-    else:
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tibt-trsyl") as worker:
-            q_future = worker.submit(_trsyl, tq, yq)
-            p_run = _trsyl(tp, yp)
-        q_run = q_future.result()
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tibt-trsyl") as worker:
+        q_future = worker.submit(_trsyl, tq, yq)
+        p_run = _trsyl(tp, yp)
+    q_run = q_future.result()
     return _from_schur(up, yp, *p_run), _from_schur(uq, yq, *q_run)
 
 

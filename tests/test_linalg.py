@@ -17,7 +17,6 @@ from tibt.errors import (
 )
 from tibt.linalg import (
     ORTH_DROP_RTOL,
-    PAIR_THREAD_MIN_N,
     PANEL_ROWS,
     DenseOperator,
     TridiagonalOperator,
@@ -158,10 +157,9 @@ class TestSolveLyapunovPair:
         c = rng.standard_normal((3, n))
         return a, b @ b.T, c.T @ c
 
-    @pytest.mark.parametrize("n", [80, PAIR_THREAD_MIN_N])
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_bitwise_equal_to_two_single_solves(self, symmetric, n, monkeypatch):
-        a, gp, gq = self.operands(n, symmetric)
+    def test_bitwise_equal_to_two_single_solves(self, symmetric, monkeypatch):
+        a, gp, gq = self.operands(100, symmetric)
         schur_forms = []
         hurwitz_schur = linalg._hurwitz_schur
         monkeypatch.setattr(linalg, "_hurwitz_schur",
@@ -172,10 +170,8 @@ class TestSolveLyapunovPair:
         assert np.array_equal(p, solve_lyapunov_dense(a, gp))
         assert np.array_equal(q, solve_lyapunov_dense(a.T, gq))
 
-    @pytest.mark.parametrize("n", [PAIR_THREAD_MIN_N - 1, PAIR_THREAD_MIN_N])
-    def test_back_substitutions_share_the_caller_below_the_threshold(
-            self, n, monkeypatch):
-        a, gp, gq = self.operands(n, False)
+    def test_one_back_substitution_runs_on_a_joined_worker(self, monkeypatch):
+        a, gp, gq = self.operands(40, False)
         threads = []
         trsyl = linalg._trsyl
         monkeypatch.setattr(linalg, "_trsyl", lambda t, y: threads.append(
@@ -185,7 +181,7 @@ class TestSolveLyapunovPair:
         assert threading.active_count() == before
         assert len(threads) == 2
         assert threading.current_thread() in threads
-        assert (threads[0] is threads[1]) is (n < PAIR_THREAD_MIN_N)
+        assert threads[0] is not threads[1]
 
     @pytest.mark.parametrize("solve", [solve_lyapunov_dense, pair_solve])
     def test_error_messages(self, solve):
@@ -201,7 +197,7 @@ class TestSolveLyapunovPair:
 
     @pytest.mark.parametrize("failure", ["info", "raise"])
     def test_failing_worker_equation_raises_in_the_caller(self, failure, monkeypatch):
-        a, gp, gq = self.operands(PAIR_THREAD_MIN_N, True)
+        a, gp, gq = self.operands(40, True)
         trsyl = linalg._trsyl
 
         def failing_off_the_caller(t, y):
@@ -220,7 +216,7 @@ class TestSolveLyapunovPair:
         assert threading.active_count() == before
 
     def test_concurrent_callers_get_their_own_results(self):
-        cases = [self.operands(PAIR_THREAD_MIN_N + k, k % 2 == 0) for k in range(4)]
+        cases = [self.operands(100 + k, k % 2 == 0) for k in range(4)]
         expected = [(solve_lyapunov_dense(a, gp), solve_lyapunov_dense(a.T, gq))
                     for a, gp, gq in cases]
         results = [None] * len(cases)
