@@ -28,7 +28,7 @@ import numpy as np
 from .alrs import AlrsConfig, IterationRecord, _Basis, _RankLadder
 from .benchmarks import random_stable
 from .errors import DenseInfeasibleError
-from .linalg import ordered_svd, psd_factor, solve_lyapunov_dense
+from .linalg import _on_two_threads, ordered_svd, psd_factor, solve_lyapunov_dense
 from .metrics import DENSE_CAP_DEFAULT
 from .reducers import ReducedModel, reflect_spectrum, solve_coupling_pair, square_root_pair
 from .system import StateSpaceModel, hankel_singular_values, require_hurwitz
@@ -103,8 +103,8 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
     while True:
         ar = reflect_spectrum(ar, floor=REFLECT_FLOOR)
         phat, qhat = solve_coupling_pair(model, StateSpaceModel(ar, br, cr))
-        vb.extend(phat)
-        wb.extend(qhat)
+        # W is extended on a worker thread (see tibt.linalg)
+        _on_two_threads(lambda: vb.extend(phat), lambda: wb.extend(qhat))
         if vb.k == 0 or wb.k == 0:
             raise ValueError(
                 "model has numerically zero input or output coupling; "

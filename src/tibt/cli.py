@@ -371,7 +371,7 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("config", help="path to a JSON experiment config")
         cmd.add_argument("--deterministic", action="store_true",
-                         help="force single-threaded execution")
+                         help="pin BLAS thread pools to one thread")
         cmd.add_argument("--output-dir", default=None)
         cmd.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)

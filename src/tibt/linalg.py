@@ -7,17 +7,32 @@ sets flush-to-zero around its LAPACK call (see
 :meth:`TridiagonalOperator.shifted_solve`). That mode is per thread and is
 restored before the solve returns, so concurrent callers are unaffected.
 
-:func:`solve_lyapunov_pair` runs one of its two ``trsyl``
-back-substitutions on a worker thread while the caller runs the other.
-Every ``trsyl`` goes through one ctypes binding of scipy's
-``cython_lapack`` ``dtrsyl``, and ctypes releases the GIL for the call, so
-the two overlap. The worker makes only that call. It writes only its own
-right-hand-side array, which nothing else touches until the worker is
-joined, and it may share the quasi-triangular factor with the caller's
-call, read-only. Its ``(scale, info)`` is checked and any error is raised
-in the caller, and the thread has ended when the function returns. Each
-back-substitution reads only its own inputs, so the results do not depend
-on how the two threads are scheduled.
+Thread contract. Four calls split their work into two independent halves
+and run one half on a worker thread while the calling thread runs the
+other, through one private helper, ``_on_two_threads``. It starts exactly
+one worker thread (never a pool), joins it before returning, and raises
+the caller's error if the caller's half failed, else the worker's. The
+worker halves are:
+
+- :func:`solve_lyapunov_pair`: the ``trsyl`` back-substitution of Q. It
+  writes only its own right-hand-side array and may share the
+  quasi-triangular factor with the caller's back-substitution, read-only.
+- :func:`tibt.reducers.solve_coupling_pair`: the ``Qhat`` Sylvester solve
+  with ``A^T``. It reads ``A``, ``C`` and the ROM, and writes only arrays
+  it allocates.
+- :func:`tibt.atia.atia_bt`: extending the ``W`` basis of a sweep. It
+  writes only that basis's own buffers and reads ``A`` and ``C``.
+- :func:`tibt.metrics.hinf_rel_error`: the odd-indexed points of each
+  frequency grid, in ``_refine_peak``. Both halves add to one response
+  memo, each under its own grid points' keys, and each writes only its
+  own entries of the sample array.
+
+The halves overlap because their heavy kernels run without the GIL:
+numpy's array kernels release it, and every ``trsyl`` and every
+tridiagonal ``gtsv`` goes through a ctypes binding of scipy's
+``cython_lapack`` (``dtrsyl``, ``dgtsv``, ``zgtsv``), which releases it
+for the call. Each half reads only its own inputs, so the results do not
+depend on how the two threads are scheduled.
 """
 
 from __future__ import annotations
@@ -26,8 +41,8 @@ import ctypes
 import functools
 import os
 import sys
+import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -123,13 +138,43 @@ def _flush_subnormal_results():
         fesetenv(saved)
 
 
+def _on_two_threads(here, there):
+    """``(here(), there())``, with ``there`` run on one worker thread while
+    the calling thread runs ``here``.
+
+    The worker is joined before this returns or raises. If ``here`` raised,
+    that error is raised, else the one ``there`` raised. Neither callable
+    may depend on the other's side effects.
+    """
+    outcome = []
+
+    def work():
+        try:
+            outcome.append((True, there()))
+        except BaseException as exc:  # re-raised in the caller
+            outcome.append((False, exc))
+
+    worker = threading.Thread(target=work, name="tibt-worker")
+    worker.start()
+    try:
+        mine = here()
+    finally:
+        worker.join()
+    ok, theirs = outcome[0]
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
 class LinearOperator(ABC):
     """Square real operator with products and shifted solves.
 
     Concrete operators must keep ``apply`` and ``shifted_solve`` consistent
     with the dense matrix they abstract (to ~1e-12 relative when both exist).
     ``known_hurwitz`` may be set by constructors that guarantee stability
-    structurally, avoiding an eigenvalue computation.
+    structurally, avoiding an eigenvalue computation. The two-thread calls
+    of the module docstring call an operator and its transpose from two
+    threads at once, so their methods must allow concurrent calls.
     """
 
     known_hurwitz: bool | None = None
@@ -281,7 +326,8 @@ class TridiagonalOperator(LinearOperator):
         return self._matvec(self._up, self._d, self._lo, np.asarray(x))
 
     def shifted_solve(self, s, b):
-        """Solve ``(A - s I) x = b`` by LAPACK ``gtsv`` in O(n).
+        """Solve ``(A - s I) x = b`` by LAPACK ``gtsv`` in O(n), without the
+        GIL.
 
         On x86-64 Linux with glibc (:func:`flushes_subnormals`) the solve
         runs with flush-to-zero set: a result below the smallest normal
@@ -303,21 +349,16 @@ class TridiagonalOperator(LinearOperator):
         if self.n == 1:
             if d[0] == 0:
                 raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
-            x = rhs / d[0]
+            rhs /= d[0]
         else:
-            gtsv = sla.get_lapack_funcs("gtsv", (d, rhs))
             # the off-diagonal casts are copies, no arithmetic to flush; made
             # in the call, they are freed before the finiteness check
             with _flush_subnormal_results():
-                _, _, _, x, info = gtsv(
-                    self._lo.astype(dtype), d, self._up.astype(dtype), rhs,
-                    overwrite_dl=True, overwrite_d=True, overwrite_du=True,
-                    overwrite_b=True,
-                )
+                info = _gtsv(self._lo.astype(dtype), d, self._up.astype(dtype), rhs)
             if info != 0:
                 raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
-        _check_solution_finite(x)
-        return x[:, 0] if vec else x
+        _check_solution_finite(rhs)
+        return rhs[:, 0] if vec else rhs
 
     def real_spectrum_max(self):
         """Largest eigenvalue when every product ``lower[i] * upper[i]`` is
@@ -396,7 +437,7 @@ def solve_lyapunov_pair(a, gp, gq):
     The results are bitwise those of ``solve_lyapunov_dense(a, gp)`` and
     ``solve_lyapunov_dense(a.T, gq)``, with the errors those calls raise.
     A symmetric ``A`` gives both equations one Schur form. The two
-    ``trsyl`` back-substitutions run at the same time, one on a worker
+    ``trsyl`` back-substitutions run at the same time, Q's on a worker
     thread (see the module docstring).
     """
     a, gp, gq = _lyapunov_operands(a, gp, gq)
@@ -404,10 +445,7 @@ def solve_lyapunov_pair(a, gp, gq):
     # schur(a.T) is bitwise schur(a) when A is symmetric
     tq, uq = (tp, up) if np.array_equal(a, a.T) else _hurwitz_schur(a.T)
     yp, yq = _schur_rhs(up, gp), _schur_rhs(uq, gq)
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tibt-trsyl") as worker:
-        q_future = worker.submit(_trsyl, tq, yq)
-        p_run = _trsyl(tp, yp)
-    q_run = q_future.result()
+    p_run, q_run = _on_two_threads(lambda: _trsyl(tp, yp), lambda: _trsyl(tq, yq))
     return _from_schur(up, yp, *p_run), _from_schur(uq, yq, *q_run)
 
 
@@ -458,23 +496,32 @@ def _from_schur(u, y, scale, info):
 
 
 @functools.cache
-def _dtrsyl():
-    # LAPACK dtrsyl from the C-API capsule of scipy.linalg.cython_lapack;
-    # its name is the C signature, which PyCapsule_GetPointer must be given.
-    # Calls through a CFUNCTYPE release the GIL.
+def _lapack():
+    """ctypes bindings of LAPACK ``dtrsyl``, ``dgtsv`` and ``zgtsv``, by
+    name, from the C-API capsules of ``scipy.linalg.cython_lapack``; each
+    capsule's name is its C signature, which ``PyCapsule_GetPointer`` must
+    be given. Calls through a ``CFUNCTYPE`` release the GIL."""
     from scipy.linalg import cython_lapack
 
-    capsule = cython_lapack.__pyx_capi__["dtrsyl"]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
     char, int_p, array = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-    # trana, tranb, isgn, m, n, a, lda, b, ldb, c, ldc, scale, info
-    signature = ctypes.CFUNCTYPE(None, char, char, int_p, int_p, int_p, array, int_p,
-                                 array, int_p, array, int_p,
-                                 ctypes.POINTER(ctypes.c_double), int_p)
-    return signature(get_pointer(capsule, get_name(capsule)))
+
+    def bind(name, *argtypes):
+        capsule = cython_lapack.__pyx_capi__[name]
+        return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+    # n, nrhs, dl, d, du, b, ldb, info
+    gtsv = (int_p, int_p, array, array, array, array, int_p, int_p)
+    return {
+        # trana, tranb, isgn, m, n, a, lda, b, ldb, c, ldc, scale, info
+        "dtrsyl": bind("dtrsyl", char, char, int_p, int_p, int_p, array, int_p, array,
+                       int_p, array, int_p, ctypes.POINTER(ctypes.c_double), int_p),
+        "dgtsv": bind("dgtsv", *gtsv),
+        "zgtsv": bind("zgtsv", *gtsv),
+    }
 
 
 def _trsyl(t, y):
@@ -493,10 +540,39 @@ def _trsyl(t, y):
     isgn, dim = ctypes.c_int(1), ctypes.c_int(n)
     scale, info = ctypes.c_double(), ctypes.c_int()
     dim_p = ctypes.byref(dim)
-    _dtrsyl()(b"N", b"T", ctypes.byref(isgn), dim_p, dim_p, t.ctypes.data, dim_p,
-              t.ctypes.data, dim_p, y.ctypes.data, dim_p, ctypes.byref(scale),
-              ctypes.byref(info))
+    _lapack()["dtrsyl"](b"N", b"T", ctypes.byref(isgn), dim_p, dim_p, t.ctypes.data,
+                        dim_p, t.ctypes.data, dim_p, y.ctypes.data, dim_p,
+                        ctypes.byref(scale), ctypes.byref(info))
     return scale.value, info.value
+
+
+def _gtsv(dl, d, du, b):
+    """Overwrite ``b`` with the ``X`` of ``T X = B`` for the tridiagonal ``T``
+    with sub-, main and superdiagonals ``dl``, ``d`` and ``du`` (LAPACK
+    ``dgtsv``/``zgtsv``, Gaussian elimination with partial pivoting), which
+    it overwrites too; returns ``info``.
+
+    The four arrays share one dtype, float64 or complex128; the diagonals
+    are contiguous and ``b`` is n-by-nrhs and Fortran-ordered. The LAPACK
+    call runs without the GIL, touching only these four arrays.
+    """
+    n = d.shape[0]
+    routine = {np.dtype(float): "dgtsv", np.dtype(complex): "zgtsv"}.get(d.dtype)
+    if (routine is None or b.ndim != 2 or b.shape[0] != n
+            or dl.shape != (n - 1,) or du.shape != (n - 1,)
+            or any(arr.dtype != d.dtype for arr in (dl, du, b))
+            or not all(arr.flags.c_contiguous for arr in (dl, d, du))
+            or not b.flags.f_contiguous):
+        raise ValueError("gtsv needs three contiguous diagonals of lengths n - 1, n, "
+                         "n - 1 and an n-row Fortran-ordered right-hand side, all "
+                         "float64 or all complex128")
+    if not all(arr.flags.writeable for arr in (dl, d, du, b)):
+        raise ValueError("gtsv overwrites its arguments, one of which is read-only")
+    dim, nrhs, info = ctypes.c_int(n), ctypes.c_int(b.shape[1]), ctypes.c_int()
+    dim_p = ctypes.byref(dim)
+    _lapack()[routine](dim_p, ctypes.byref(nrhs), dl.ctypes.data, d.ctypes.data,
+                       du.ctypes.data, b.ctypes.data, dim_p, ctypes.byref(info))
+    return info.value
 
 
 def _complex_pair_solve(op, tblock, rhs):
@@ -567,6 +643,8 @@ def solve_sylvester_skinny(a, m, f):
             raise SpectrumOverlapError(
                 f"spectrum of A meets eigenvalue {-t[jb, jb]:.6g} of -M") from exc
         j = jb - 1
+    # the n-by-r temporaries go before the product allocates its result
+    del g, rhs
     return y @ u.T
 
 

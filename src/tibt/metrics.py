@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenseInfeasibleError, DimensionMismatchError
+from .linalg import _on_two_threads
 from .reducers import ReducedModel
 from .system import StateSpaceModel, eval_transfer
 
@@ -133,9 +134,16 @@ def _memoized_response(model):
 def _refine_peak(fun, grid: FreqGrid):
     """Sampled peak of ``fun`` over the grid, golden-section refined around
     the arg-max down to ``REFINE_REL_RESOLUTION``. Returns (peak_value,
-    peak_frequency)."""
+    peak_frequency). The odd-indexed grid points are sampled on a worker
+    thread (see :mod:`tibt.linalg`)."""
     pts = grid.points
-    vals = np.array([fun(w) for w in pts])
+    vals = np.empty(len(pts))
+
+    def sample(first):
+        for i in range(first, len(pts), 2):
+            vals[i] = fun(pts[i])
+
+    _on_two_threads(lambda: sample(0), lambda: sample(1))
     idx = int(np.argmax(vals))
     best_v, best_w = vals[idx], pts[idx]
     lo = pts[idx - 1] if idx > 0 else pts[0]

@@ -18,6 +18,7 @@ from .errors import (
     SingularValueTieError,
 )
 from .linalg import (
+    _on_two_threads,
     ordered_svd,
     orthonormalize,
     psd_factor,
@@ -302,10 +303,12 @@ def tangential_interpolate(model: StateSpaceModel,
 def solve_coupling_pair(model: StateSpaceModel, rom: StateSpaceModel):
     """Solutions ``(Phat, Qhat)`` of the Sylvester equations coupling
     ``model`` to ``rom``: ``A Phat + Phat Ar^T + B Br^T = 0`` and
-    ``A^T Qhat + Qhat Ar + C^T Cr = 0``."""
+    ``A^T Qhat + Qhat Ar + C^T Cr = 0``; ``Qhat`` is solved on a worker
+    thread (see :mod:`tibt.linalg`)."""
     ar = rom.A.to_dense()
-    return (solve_sylvester_skinny(model.A, ar, model.B @ rom.B.T),
-            solve_sylvester_skinny(model.A.transpose(), ar.T, model.C.T @ rom.C))
+    return _on_two_threads(
+        lambda: solve_sylvester_skinny(model.A, ar, model.B @ rom.B.T),
+        lambda: solve_sylvester_skinny(model.A.transpose(), ar.T, model.C.T @ rom.C))
 
 
 def reflect_spectrum(ar, floor):

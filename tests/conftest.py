@@ -6,6 +6,7 @@ against, so they must not share any code path with the package.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -73,15 +74,19 @@ def two_qr_lyapunov_residual(a, b, factor):
 
 class CountingOperator(tibt.LinearOperator):
     """Delegates to ``inner`` and counts the columns passed to ``apply`` and
-    ``apply_transpose`` in ``cols``, which its transpose shares."""
+    ``apply_transpose`` in ``cols``, which its transpose shares. The count
+    is locked: an operator and its transpose may be applied on two threads
+    at once."""
 
-    def __init__(self, inner, cols=None):
+    def __init__(self, inner, cols=None, lock=None):
         self.inner = inner
         self.known_hurwitz = inner.known_hurwitz
         self.cols = [0] if cols is None else cols
+        self._lock = threading.Lock() if lock is None else lock
 
     def _count(self, x):
-        self.cols[0] += x.shape[1] if np.ndim(x) == 2 else 1
+        with self._lock:
+            self.cols[0] += x.shape[1] if np.ndim(x) == 2 else 1
 
     @property
     def n(self):
@@ -99,7 +104,7 @@ class CountingOperator(tibt.LinearOperator):
         return self.inner.shifted_solve(s, b)
 
     def transpose(self):
-        return CountingOperator(self.inner.transpose(), self.cols)
+        return CountingOperator(self.inner.transpose(), self.cols, self._lock)
 
     def to_dense(self):
         return self.inner.to_dense()
@@ -152,3 +157,14 @@ def lyapunov_solves(monkeypatch):
             if name.split(".")[0] == "tibt" and getattr(module, fn_name, None) is solve:
                 monkeypatch.setattr(module, fn_name, counting)
     return calls
+
+
+def run_inline(monkeypatch):
+    """Make every tibt module run both callables of the two-thread helper
+    ``tibt.linalg._on_two_threads`` on the calling thread, one after the
+    other, so a result can be compared with its threaded counterpart."""
+    helper = tibt.linalg._on_two_threads
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tibt" and getattr(module, "_on_two_threads", None) is helper:
+            monkeypatch.setattr(module, "_on_two_threads",
+                                lambda here, there: (here(), there()))

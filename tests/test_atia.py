@@ -1,12 +1,21 @@
+import threading
+
 import numpy as np
 import pytest
-from conftest import AbsorbedColumns, CountingOperator, damped_chain, max_principal_angle
+from conftest import (
+    AbsorbedColumns,
+    CountingOperator,
+    damped_chain,
+    max_principal_angle,
+    run_inline,
+)
 
 import tibt
 import tibt.atia
 import tibt.linalg
 from tibt.atia import AtiaConfig, atia_hsv_compare
-from tibt.errors import DenseInfeasibleError
+from tibt.errors import DenseInfeasibleError, SpectrumOverlapError
+from tibt.reducers import solve_coupling_pair
 
 
 class TestAtiaBt:
@@ -212,6 +221,62 @@ class TestAtiaBt:
         # 0.20 (seed 0), 1.03 (seed 2) and 0.17 (seed 5)
         res = tibt.atia_bt(damped_chain(), AtiaConfig(tol=1e-5, seed=seed))
         assert not (res.converged and not tibt.is_hurwitz(res.rom.rom))
+
+
+TWO_THREAD_MODELS = {
+    "heat_rod": lambda: tibt.heat_rod(2000),
+    "random_stable": lambda: tibt.random_stable(150, 2, 2, 5),
+}
+
+
+class TestTwoThreadSweep:
+    """A sweep's V and W sides run on two threads; the results are those of
+    running both on the calling thread."""
+
+    @pytest.mark.parametrize("make", TWO_THREAD_MODELS.values(), ids=TWO_THREAD_MODELS.keys())
+    def test_coupling_pair_equal_to_inline(self, make, monkeypatch):
+        m = make()
+        rom = tibt.random_stable(4, m.m, m.p, 0)
+        before = threading.active_count()
+        threaded = solve_coupling_pair(m, rom)
+        assert threading.active_count() == before
+        with monkeypatch.context() as patch:
+            run_inline(patch)
+            inline = solve_coupling_pair(m, rom)
+        assert all(np.array_equal(x, y) for x, y in zip(threaded, inline))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("make", TWO_THREAD_MODELS.values(), ids=TWO_THREAD_MODELS.keys())
+    def test_atia_bt_equal_to_inline(self, make, seed, monkeypatch):
+        m = make()
+        cfg = AtiaConfig(tol=1e-5, seed=seed)
+        before = threading.active_count()
+        threaded = tibt.atia_bt(m, cfg)
+        assert threading.active_count() == before
+        with monkeypatch.context() as patch:
+            run_inline(patch)
+            inline = tibt.atia_bt(m, cfg)
+        got, want = threaded.rom, inline.rom
+        for x, y in [(got.rom.A.to_dense(), want.rom.A.to_dense()), (got.rom.B, want.rom.B),
+                     (got.rom.C, want.rom.C), (got.Vr, want.Vr), (got.Wr, want.Wr),
+                     (got.retained_sv, want.retained_sv)]:
+            assert np.array_equal(x, y)
+        assert [rec.values.tolist() for rec in threaded.history] == [
+            rec.values.tolist() for rec in inline.history]
+
+    def test_w_side_failure_raised_in_the_caller(self, monkeypatch):
+        solve = tibt.reducers.solve_sylvester_skinny
+
+        def failing_off_the_caller(a, m, f):
+            if threading.current_thread() is not threading.main_thread():
+                raise SpectrumOverlapError("W side failed")
+            return solve(a, m, f)
+
+        monkeypatch.setattr(tibt.reducers, "solve_sylvester_skinny", failing_off_the_caller)
+        before = threading.active_count()
+        with pytest.raises(SpectrumOverlapError, match="W side failed"):
+            tibt.atia_bt(tibt.random_stable(40, 2, 2, 1), AtiaConfig(tol=1e-4, seed=0))
+        assert threading.active_count() == before
 
 
 class TestAtiaHsvCompare:

@@ -146,6 +146,86 @@ class TestTrsylBinding:
             linalg._trsyl(t, frozen)
 
 
+class TestGtsvBinding:
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    @pytest.mark.parametrize("s", [0.3, 0.5 + 2.0j])
+    @pytest.mark.parametrize("nrhs", [1, 3])
+    def test_shifted_solve_bitwise_equal_to_scipy_gtsv(self, n, s, nrhs):
+        rng = np.random.default_rng(n + nrhs)
+        lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+        diag = rng.standard_normal(n) - 4.0
+        b = rng.standard_normal((n, nrhs))
+        dtype = complex if isinstance(s, complex) else float
+        shifted = (diag - s).astype(dtype)
+        rhs = np.array(b, dtype=dtype, order="F")
+        if n == 1:
+            # scipy's f2py wrapper takes no empty off-diagonals; one state
+            # is a division
+            want = rhs / shifted[0]
+        else:
+            gtsv = sla.get_lapack_funcs("gtsv", (rhs,))
+            _, _, _, want, info = gtsv(lower.astype(dtype), shifted, upper.astype(dtype), rhs)
+            assert info == 0
+        got = TridiagonalOperator(lower, diag, upper).shifted_solve(s, b)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("b", [np.ones(2), np.ones(2, dtype=complex)],
+                             ids=["real", "complex"])
+    def test_singular_shift_raises(self, b):
+        # the shifted matrix [[0, 0], [0, -1]] has a zero first pivot
+        op = TridiagonalOperator([0.0], [-1.0, -2.0], [0.0])
+        with pytest.raises(ShiftSolveFailure, match="singular"):
+            op.shifted_solve(-1.0, b)
+        with pytest.raises(ShiftSolveFailure, match="singular"):
+            TridiagonalOperator([], [-1.0], []).shifted_solve(-1.0, b[:1])
+
+    def test_rejects_arrays_it_cannot_write_in_place(self):
+        diag = np.full(3, -4.0)
+        off = np.ones(2)
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            linalg._gtsv(off.copy(), diag.copy(), off.copy(), np.ones((3, 2))[:, ::-1])
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            linalg._gtsv(off.copy(), diag.copy(), off.copy(), np.ones((4, 1), order="F"))
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            linalg._gtsv(off.copy(), diag.astype(complex), off.copy(), np.ones((3, 1)))
+        swapped = diag.astype(diag.dtype.newbyteorder())
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            linalg._gtsv(off.astype(swapped.dtype), swapped, off.astype(swapped.dtype),
+                         np.ones((3, 1), dtype=swapped.dtype, order="F"))
+        frozen = np.ones((3, 1), order="F")
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            linalg._gtsv(off.copy(), diag.copy(), off.copy(), frozen)
+
+
+class TestOnTwoThreads:
+    def test_runs_one_callable_on_a_joined_worker(self):
+        threads = []
+        before = threading.active_count()
+        got = linalg._on_two_threads(
+            lambda: threads.append(threading.current_thread()) or "here",
+            lambda: threads.append(threading.current_thread()) or "there")
+        assert got == ("here", "there")
+        assert threading.active_count() == before
+        assert threading.current_thread() in threads
+        assert len(set(threads)) == 2
+
+    def test_caller_error_wins_after_the_worker_ends(self):
+        finished = threading.Event()
+
+        def slow_failure():
+            finished.wait(0.05)
+            finished.set()
+            raise KeyError("worker")
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="caller"):
+            linalg._on_two_threads(lambda: int("caller"), slow_failure)
+        assert finished.is_set()
+        assert threading.active_count() == before
+
+
 class TestSolveLyapunovPair:
     @staticmethod
     def operands(n, symmetric):
@@ -692,6 +772,17 @@ class TestTridiagonalSubnormals:
         got, want = rod_solve_parts(2000, self.SHIFT)
         assert np.any(subnormal(want))
         assert np.array_equal(got, want)
+
+    @pytest.mark.skipif(not flushes_subnormals(),
+                        reason="flush-to-zero is set on x86-64 Linux with glibc only")
+    def test_subnormal_results_flushed_on_a_worker_thread(self):
+        here, there = linalg._on_two_threads(lambda: rod_solve_parts(2000, self.SHIFT),
+                                             lambda: rod_solve_parts(2000, self.SHIFT))
+        for got, want in (here, there):
+            assert np.count_nonzero(subnormal(want)) > 50
+            assert not np.any(subnormal(got))
+        assert np.array_equal(here[0], there[0])
+        assert float_mode_is_ieee()
 
     def test_subnormal_inputs_not_zeroed(self):
         # [[1, 0], [1, 1]] x = b gives x = [b0, b1 - b0], both normal here

@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from conftest import run_inline
 
 import tibt
-from tibt.errors import DimensionMismatchError
+from tibt.errors import DimensionMismatchError, ShiftSolveFailure
 from tibt.metrics import DENSE_CAP_DEFAULT, FreqGrid
 
 
@@ -196,6 +200,75 @@ class TestHinfRelErrorSequence:
         # plus three golden-section searches (the reference peak and two
         # error peaks), each under 20 probes on this grid's brackets
         assert len(shifts) <= len(grid.points) + 3 * 20
+
+    @pytest.mark.parametrize("make", [
+        lambda: tibt.heat_rod(400),
+        lambda: tibt.random_stable(60, 2, 2, seed=5),
+    ], ids=["heat_rod", "random_stable"])
+    def test_two_grid_halves_equal_to_inline(self, make, monkeypatch):
+        m = make()
+        roms = [tibt.bt_square_root(m, 6).rom, tibt.tcr(m, 6).rom]
+        grid = FreqGrid.default_for(m, count=101)
+        before = threading.active_count()
+        threaded = [tibt.hinf_rel_error(m, roms, grid), tibt.hinf_rel_error(m, roms[0])]
+        assert threading.active_count() == before
+        with monkeypatch.context() as patch:
+            run_inline(patch)
+            inline = [tibt.hinf_rel_error(m, roms, grid), tibt.hinf_rel_error(m, roms[0])]
+        assert threaded == inline
+
+    def test_concurrent_callers_solve_each_frequency_once_per_call(self, monkeypatch):
+        # four callers, each with its own worker, under a 1 us switch interval
+        models = [tibt.random_stable(40 + k, 2, 2, seed=k) for k in range(4)]
+        roms = [tibt.bt_square_root(m, 4).rom for m in models]
+        grids = [FreqGrid.default_for(m, count=60) for m in models]
+        with monkeypatch.context() as patch:
+            run_inline(patch)
+            expected = [tibt.hinf_rel_error(*case) for case in zip(models, roms, grids)]
+        shifts = [[] for _ in models]
+        for m, seen in zip(models, shifts):
+            solve = m.A.shifted_solve
+            monkeypatch.setattr(m.A, "shifted_solve", lambda s, b, solve=solve, seen=seen:
+                                seen.append(s) or solve(s, b))
+        calls = 3
+        results = [[] for _ in models]
+
+        def run(i):
+            for _ in range(calls):
+                results[i].append(tibt.hinf_rel_error(models[i], roms[i], grids[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(models))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for got, want, seen, grid in zip(results, expected, shifts, grids):
+            assert got == [want] * calls
+            assert all(seen.count(1j * w) == calls for w in grid.points)
+
+    def test_odd_grid_half_failure_raised_in_the_caller(self, monkeypatch):
+        m = tibt.random_stable(30, 2, 2, seed=3)
+        rom = tibt.bt_square_root(m, 4).rom
+        grid = FreqGrid.default_for(m, count=20)
+        odd = set(1j * grid.points[1::2])
+        solve = m.A.shifted_solve
+
+        def failing_at_odd_points(s, b):
+            if s in odd:
+                raise ShiftSolveFailure(f"odd point {s}")
+            return solve(s, b)
+
+        monkeypatch.setattr(m.A, "shifted_solve", failing_at_odd_points)
+        before = threading.active_count()
+        with pytest.raises(ShiftSolveFailure, match="odd point"):
+            tibt.hinf_rel_error(m, rom, grid)
+        assert threading.active_count() == before
 
     def test_empty_sequence_rejected(self):
         m = scalar_model()
