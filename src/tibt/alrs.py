@@ -8,24 +8,20 @@ stagnate, the target rank is raised and the basis is reset to the latest
 interpolation data, so the basis (and the SVD cost) never grows past
 ``r * i_max`` columns.
 
-The stage, rank and stop policy lives in :class:`_RankLadder`, which the
-two-sided driver in :mod:`tibt.atia` shares; both truncate through
-:func:`~tibt.reducers.square_root_pair`.
+Both drivers run one sweep loop, :func:`_sweep`, over the bases of their
+sides: ``(V,)`` here and ``(V, W)`` in :mod:`tibt.atia`. It ranks through
+:class:`_RankLadder`, truncates through
+:func:`~tibt.reducers.square_root_pair`, and reflects each side's projected
+matrix and the interim ROM into the left half-plane, so ``A`` need not be
+dissipative (on a dissipative ``A`` both reflections are no-ops).
 
 Within a stage the basis grows append-only: new directions are
 orthogonalized against it by block classical Gram-Schmidt with
 reorthogonalization, ``A`` is applied to the new columns only, and the
 projected matrix ``V^T A V`` is bordered rather than recomputed, so a sweep
-costs O(n k j) for a k-column basis and j new columns.
-
-The n-row data is allocated once per run: a stage reset keeps the buffers
-of ``V`` and ``A V``, which double only when a stage outgrows every earlier
-one, and new columns are formed in place in the spare columns of ``V``.
-The extension is blocked by row panels (:func:`~tibt.linalg.cgs2`,
-:func:`~tibt.linalg.extend_orthonormal`): the Gram-Schmidt passes share
-their reads of ``V``, the rank-revealing pivoted QR runs on the small stack
-of panel R factors (TSQR) instead of the n-row remainder, and the kept
-columns are formed from that R factor in a few panel passes.
+costs O(n k j) for a k-column basis and j new columns. A run allocates its
+n-row data once (:class:`_Basis`), and the extension is blocked by row
+panels (:func:`~tibt.linalg.extend_orthonormal`).
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ import numpy as np
 
 from .benchmarks import random_stable
 from .linalg import (
+    _on_two_threads,
     as_operator,
     cgs2,
     extend_orthonormal,
@@ -45,7 +42,7 @@ from .linalg import (
     solve_lyapunov_dense,
     solve_sylvester_skinny,
 )
-from .reducers import square_root_pair
+from .reducers import reflect_spectrum, square_root_pair
 from .system import require_hurwitz
 
 __all__ = [
@@ -56,6 +53,11 @@ __all__ = [
     "alrs_lyap",
     "lowrank_lyapunov_residual",
 ]
+
+# Margin pushed into the left half-plane when reflecting unstable projected
+# or interim eigenvalues, and the condition-number cap on W_k^T V_k.
+REFLECT_FLOOR = 1e-8
+BIORTH_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,7 @@ class _Basis:
 
     def __init__(self, apply, b):
         self._apply = apply
-        self._b = b
+        self.b = b
         self._v = np.empty((b.shape[0], 0), order="F")
         self._av = np.empty((b.shape[0], 0), order="F")
         self.restart()
@@ -252,7 +254,7 @@ class _Basis:
         """Empty the basis, then absorb ``new`` when given."""
         self.k = 0
         self.ak = np.zeros((0, 0))
-        self.bk = np.zeros((0, self._b.shape[1]))
+        self.bk = np.zeros((0, self.b.shape[1]))
         if new is not None:
             self.extend(new)
 
@@ -276,9 +278,71 @@ class _Basis:
         q = extend_orthonormal(v, new, out=self._v[:, k:k + j])
         aq = self._apply(q)
         self.ak = np.block([[self.ak, v.T @ aq], [q.T @ av, q.T @ aq]])
-        self.bk = np.vstack([self.bk, q.T @ self._b])
+        self.bk = np.vstack([self.bk, q.T @ self.b])
         self._av[:, k:k + q.shape[1]] = aq
         self.k += q.shape[1]
+
+    def gramian_factor(self):
+        """Factor ``Z`` of the projected Gramian ``V Z Z^T V^T``, solved with
+        ``V^T A V`` reflected into the left half-plane (see the module)."""
+        ak = reflect_spectrum(self.ak, floor=REFLECT_FLOOR)
+        return psd_factor(solve_lyapunov_dense(ak, self.bk @ self.bk.T))
+
+
+def _rebiorthogonalize(vb, wb, wv):
+    """Trim directions along which span(W_k) and span(V_k) are nearly
+    orthogonal: restart both bases from their columns that keep the cross
+    product well conditioned."""
+    uu, ss, vv = ordered_svd(wv)
+    keep = ss > ss[0] / BIORTH_COND_CAP
+    vb.restart(vb.v @ vv[:, keep])
+    wb.restart(wb.v @ uu[:, keep])
+
+
+def _sweep(cfg, bases, solve, rom, on_iteration):
+    """The mirror-image fixed point over the bases of the sides, ``(V,)``
+    (Galerkin: W is V) or ``(V, W)``, from the interim ROM ``rom``;
+    ``solve(Ar, Br, Cr)`` gives each side's new directions, and the hook
+    gets ``(record, *bases, *new_directions)``. Returns the ladder and,
+    unless a basis came out empty, the last ``(Ar, Br, Cr)``, its pair
+    ``(Vr, Wr)`` in basis coordinates and its ordered singular values."""
+    ladder = _RankLadder(cfg)
+    vb, wb = bases[0], bases[-1]
+    one_sided = wb is vb
+    ar, br, cr = rom
+    while True:
+        ar = reflect_spectrum(ar, floor=REFLECT_FLOOR)
+        new = solve(ar, br, cr)
+        if one_sided:
+            vb.extend(new[0])
+        else:  # W is extended on a worker thread (see tibt.linalg)
+            _on_two_threads(lambda: vb.extend(new[0]), lambda: wb.extend(new[1]))
+        if vb.k == 0 or wb.k == 0:
+            return ladder, None
+        if one_sided:  # the basis supplies W^T A V, W^T B and C V
+            zp = zq = vb.gramian_factor()
+            u, s, _ = ordered_svd(zp.T @ zp)
+            svd = u, s, u  # Zp^T Zp is symmetric: both sides take U
+            wav, wtb, cv = vb.ak, vb.bk, vb.bk.T
+        else:
+            wv = wb.v.T @ vb.v
+            if np.linalg.cond(wv) > BIORTH_COND_CAP:
+                _rebiorthogonalize(vb, wb, wv)
+                wv = wb.v.T @ vb.v
+            zp, zq = vb.gramian_factor(), wb.gramian_factor()
+            svd = ordered_svd(zq.T @ wv @ zp)
+            # W^T A V = (A^T W)^T V
+            wav, wtb, cv = wb.av.T @ vb.v, wb.v.T @ vb.b, wb.b.T @ vb.v
+        stage_done = ladder.step(svd[1])
+        if on_iteration is not None:
+            on_iteration(ladder.history[-1], *(basis.v for basis in bases), *new)
+        vr, wr = square_root_pair(zp, zq, svd, ladder.r)
+        ar, br, cr = wr.T @ wav @ vr, wr.T @ wtb, cv @ vr
+        if ladder.done(svd[1]):
+            return ladder, ((ar, br, cr), (vr, wr), svd[1])
+        if stage_done:  # the next stage starts from the latest directions
+            for basis, directions in zip(bases, new):
+                basis.restart(directions)
 
 
 def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
@@ -298,7 +362,8 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
     Raises
     ------
     NonHurwitzError
-        If ``A`` (or a projected image of it) is not Hurwitz.
+        If ``A``, or the final projection that the core solves with, is not
+        Hurwitz; earlier unstable projections are reflected.
     """
     op = as_operator(a)
     require_hurwitz(op, "coefficient matrix")
@@ -307,37 +372,18 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
         raise ValueError(f"B must have {op.n} rows, got {b.shape}")
     m = b.shape[1]
 
-    ladder = _RankLadder(cfg)
     # the seed's stable starting pair; C goes unused, an empty B stays empty
     start = random_stable(cfg.r0, max(m, 1), 1, cfg.seed)
-    ar, br = start.A.to_dense(), start.B[:, :m]
     basis = _Basis(op.apply, b)
-    while True:
-        phat = solve_sylvester_skinny(op, ar, b @ br.T)
-        basis.extend(phat)
-        if basis.k == 0:  # zero right-hand side: nothing to capture
-            small = ar = np.zeros((0, 0))
-            br = np.zeros((0, m))
-            ladder.converged = True
-            break
-        ak, bk = basis.ak, basis.bk
-        zp = psd_factor(solve_lyapunov_dense(ak, bk @ bk.T))
-        svd = ordered_svd(zp.T @ zp)
-        stage_done = ladder.step(svd[1])
-        if on_iteration is not None:
-            on_iteration(ladder.history[-1], basis.v, phat)
-
-        # Zp^T Zp is symmetric, so both sides of the pair agree; use U's
-        _, small = square_root_pair(zp, zp, svd, ladder.r)
-        ar = small.T @ ak @ small
-        br = small.T @ bk
-        if ladder.done(svd[1]):
-            break
-        if stage_done:
-            # the next stage starts from the latest interpolation data alone
-            basis.restart(phat)
-
-    pr = solve_lyapunov_dense(ar, br @ br.T) if ar.shape[0] else np.zeros((0, 0))
+    ladder, last = _sweep(
+        cfg, (basis,), lambda ar, br, cr: (solve_sylvester_skinny(op, ar, b @ br.T),),
+        (start.A.to_dense(), start.B[:, :m], start.C), on_iteration)
+    if last is None:  # zero right-hand side: nothing to capture
+        ladder.converged = True
+        small = pr = np.zeros((0, 0))
+    else:
+        (ar, br, _), (small, _), _ = last
+        pr = solve_lyapunov_dense(ar, br @ br.T) if ar.shape[0] else np.zeros((0, 0))
     factor = LowRankGramian(basis=basis.v @ small, core=pr)
     # A V C from the A V the basis already holds
     residual = _factored_residual(factor.basis, basis.av @ (small @ pr), b)

@@ -20,8 +20,9 @@ worker halves are:
 - :func:`tibt.reducers.solve_coupling_pair`: the ``Qhat`` Sylvester solve
   with ``A^T``. It reads ``A``, ``C`` and the ROM, and writes only arrays
   it allocates.
-- :func:`tibt.atia.atia_bt`: extending the ``W`` basis of a sweep. It
-  writes only that basis's own buffers and reads ``A`` and ``C``.
+- ``tibt.alrs._sweep``, the loop of both adaptive drivers: extending the
+  ``W`` basis of a two-sided sweep (:func:`tibt.atia.atia_bt`). It writes
+  only that basis's own buffers and reads ``A`` and ``C``.
 - :func:`tibt.metrics.hinf_rel_error`: the odd-indexed points of each
   frequency grid, in ``_refine_peak``. Both halves add to one response
   memo, each under its own grid points' keys, and each writes only its

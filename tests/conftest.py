@@ -139,6 +139,24 @@ def damped_chain(n_mass=100, k=100.0, alpha=1.0, beta=0.2):
     return tibt.StateSpaceModel(a, b, c)
 
 
+def block_family(seed, n=120):
+    """A Hurwitz but not dissipative model: ``A = Q blkdiag([a_i, 12; 0,
+    b_i]) Q^T`` with a random orthogonal ``Q``, ``a_i`` drawn from
+    ``-[0.5, 2]`` and ``b_i = a_i - [0.2, 1]``, and Gaussian ``B``, ``C``
+    with two columns and rows. Max Re lambda <= -0.5, but ``A + A^T`` has
+    eigenvalues near +10, so a Galerkin projection of ``A`` can be
+    unstable."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = -rng.uniform(0.5, 2.0, n // 2)
+    d = a - rng.uniform(0.2, 1.0, n // 2)
+    t = np.zeros((n, n))
+    for i, (ai, di) in enumerate(zip(a, d)):
+        t[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[ai, 12.0], [0.0, di]]
+    return tibt.StateSpaceModel(q @ t @ q.T, rng.standard_normal((n, 2)),
+                                rng.standard_normal((2, n)))
+
+
 @pytest.fixture
 def lyapunov_solves(monkeypatch):
     """The dense Lyapunov solves a test makes, as ``(name, n)`` pairs in call

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     AbsorbedColumns,
     CountingOperator,
+    block_family,
     max_principal_angle,
     two_qr_lyapunov_residual,
 )
@@ -13,6 +14,7 @@ import tibt
 import tibt.alrs
 from tibt.alrs import AlrsConfig, _RankLadder, lowrank_lyapunov_residual, padded_change
 from tibt.errors import NonHurwitzError
+from tibt.metrics import gramian_rel_error
 
 
 class TestConfig:
@@ -279,9 +281,58 @@ class TestAlrsLyap:
             tibt.alrs_lyap(np.array([[1.0]]), np.array([[1.0]]),
                            AlrsConfig(seed=0))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_non_dissipative_block_family(self, seed):
+        # A is Hurwitz but A + A^T is indefinite, so a projection of A can be
+        # unstable; it is reflected before the projected solve
+        m = block_family(seed)
+        res = tibt.alrs_lyap(m.A, m.B, AlrsConfig(tol=1e-6, seed=0))
+        assert res.converged
+        assert gramian_rel_error(m.gramians.P, res.factor.reconstruct()) <= 1e-6
+
     def test_zero_rhs_converges_to_empty_factor(self):
         res = tibt.alrs_lyap(np.diag([-1.0, -2.0]), np.zeros((2, 1)),
                              AlrsConfig(r0=1, dr=1, tol=1e-6, seed=0))
         assert res.converged
         assert res.factor.rank == 0
         assert res.residual == 0.0
+
+
+DISSIPATIVE_MODELS = {
+    "heat_rod": lambda: tibt.heat_rod(400),
+    "random_stable": lambda: tibt.random_stable(80, 2, 2, 5),
+}
+# each driver's number of sides and its sweep history
+DRIVERS = {
+    "alrs_lyap": (1, lambda m, cfg: tibt.alrs_lyap(m.A, m.B, cfg).singular_history),
+    "atia_bt": (2, lambda m, cfg: tibt.atia_bt(m, cfg).history),
+}
+
+
+class TestSweep:
+    @pytest.mark.parametrize("driver", DRIVERS.values(), ids=DRIVERS.keys())
+    @pytest.mark.parametrize("make", DISSIPATIVE_MODELS.values(), ids=DISSIPATIVE_MODELS.keys())
+    def test_projected_reflection_is_a_no_op_on_dissipative_a(self, make, driver, monkeypatch):
+        # a Galerkin projection of a dissipative A is Hurwitz, so each side's
+        # projected matrix reaches its Lyapunov solve untouched; the interim
+        # ROM's reflection runs as usual
+        sides, run = driver
+        reflect, factor = tibt.alrs.reflect_spectrum, tibt.alrs._Basis.gramian_factor
+        projected, unchanged = [], []
+
+        def spy_reflect(a, floor):
+            out = reflect(a, floor)
+            if any(a is p for p in projected):
+                unchanged.append(out is a)
+            return out
+
+        def spy_factor(basis):
+            projected.append(basis.ak)
+            return factor(basis)
+
+        monkeypatch.setattr(tibt.alrs, "reflect_spectrum", spy_reflect)
+        monkeypatch.setattr(tibt.alrs._Basis, "gramian_factor", spy_factor)
+        history = run(make(), AlrsConfig(tol=1e-5, seed=0))
+        assert len(projected) == sides * len(history)
+        assert len(unchanged) == len(projected)
+        assert all(unchanged)

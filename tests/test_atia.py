@@ -5,12 +5,14 @@ import pytest
 from conftest import (
     AbsorbedColumns,
     CountingOperator,
+    block_family,
     damped_chain,
     max_principal_angle,
     run_inline,
 )
 
 import tibt
+import tibt.alrs
 import tibt.atia
 import tibt.linalg
 from tibt.atia import AtiaConfig, atia_hsv_compare
@@ -155,14 +157,14 @@ class TestAtiaBt:
         # a low cap on cond(W^T V) forces the branch that restarts both
         # bases from their well-conditioned directions
         taken = []
-        rebiorthogonalize = tibt.atia._rebiorthogonalize
+        rebiorthogonalize = tibt.alrs._rebiorthogonalize
 
         def counting(*args):
             taken.append(True)
             return rebiorthogonalize(*args)
 
-        monkeypatch.setattr(tibt.atia, "BIORTH_COND_CAP", 1e2)
-        monkeypatch.setattr(tibt.atia, "_rebiorthogonalize", counting)
+        monkeypatch.setattr(tibt.alrs, "BIORTH_COND_CAP", 1e2)
+        monkeypatch.setattr(tibt.alrs, "_rebiorthogonalize", counting)
         m = tibt.random_stable(120, 2, 2, seed=5)
         res = tibt.atia_bt(m, AtiaConfig(tol=1e-4, seed=0))
         assert taken
@@ -211,6 +213,17 @@ class TestAtiaBt:
         res = tibt.atia_bt(m, AtiaConfig(tol=1e-12, k_max=3, seed=0))
         assert res.converged is False
         assert res.iterations_used == 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_non_dissipative_block_family(self, seed):
+        # A is Hurwitz but A + A^T is indefinite, so a projection of A can be
+        # unstable; each side's projection is reflected before its solve
+        m = block_family(seed)
+        res = tibt.atia_bt(m, AtiaConfig(tol=1e-6, seed=0))
+        assert res.converged
+        dense = tibt.hankel_singular_values(m)
+        est = res.hankel_estimates
+        assert np.max(np.abs(est - dense[: len(est)]) / dense[: len(est)]) <= 1e-3
 
     @pytest.mark.xfail(strict=True, reason=(
         "atia_bt flags an unstable final ROM converged; flagging it also "
