@@ -352,7 +352,9 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
     directions, the orthonormal trial basis absorbs them, a projected
     Lyapunov solve and an SVD yield updated singular-value estimates. The
     run stops once the r-th retained estimate falls below ``tol`` times the
-    largest, or flags ``converged=False`` when ``k_max`` is exhausted.
+    largest, or flags ``converged=False`` when ``k_max`` is exhausted. The
+    factor is the last sweep's square-root truncation, with core
+    ``diag(values)``: the Gramian of the truncated projection.
 
     ``on_iteration``, when given, is called once per sweep with
     ``(record, basis, new_directions)`` for diagnostics; it must not mutate
@@ -362,8 +364,7 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
     Raises
     ------
     NonHurwitzError
-        If ``A``, or the final projection that the core solves with, is not
-        Hurwitz; earlier unstable projections are reflected.
+        If ``A`` is not Hurwitz; unstable projections are reflected.
     """
     op = as_operator(a)
     require_hurwitz(op, "coefficient matrix")
@@ -380,12 +381,13 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
         (start.A.to_dense(), start.B[:, :m], start.C), on_iteration)
     if last is None:  # zero right-hand side: nothing to capture
         ladder.converged = True
-        small = pr = np.zeros((0, 0))
+        small, s = np.zeros((0, 0)), np.zeros(0)
     else:
-        (ar, br, _), (small, _), _ = last
-        pr = solve_lyapunov_dense(ar, br @ br.T) if ar.shape[0] else np.zeros((0, 0))
-    factor = LowRankGramian(basis=basis.v @ small, core=pr)
+        _, (small, _), sv = last
+        s = sv[:small.shape[1]]
+    # a balanced truncation's Gramian is diag of its retained values
+    factor = LowRankGramian(basis=basis.v @ small, core=np.diag(s))
     # A V C from the A V the basis already holds
-    residual = _factored_residual(factor.basis, basis.av @ (small @ pr), b)
+    residual = _factored_residual(factor.basis, basis.av @ (small * s), b)
     return AlrsResult(factor=factor, singular_history=ladder.history,
                       converged=ladder.converged, residual=residual)

@@ -178,7 +178,7 @@ def _alg_config(cfg, seed, tol=None):
     alg = dict(cfg.get("alg", {}))
     alg.setdefault("seed", seed)
     if tol is not None:
-        alg["tol"] = tol
+        alg["tol"] = float(tol)
     # the config class validates its fields with TypeError/ValueError
     try:
         return AlrsConfig(**alg)
@@ -234,6 +234,8 @@ def _default_grid(model, cfg):
 def run_task(cfg, seed, out_dir):
     """Execute one experiment; returns (exit_code, artifact dict)."""
     task = cfg["task"]
+    # checked first: building the model may read a large one in full
+    algs = [_alg_config(cfg, seed, tol) for tol in cfg.get("tols", [None])]
     model = build_model(cfg, seed)
     dense_cap = cfg.get("dense_cap", DENSE_CAP_DEFAULT)
     dense_ok = model.n <= dense_cap
@@ -242,7 +244,7 @@ def run_task(cfg, seed, out_dir):
 
     if task == "solve-lyap":
         work = model if cfg.get("side", "p") == "p" else model.dual()
-        result = alrs_lyap(work.A, work.B, _alg_config(cfg, seed))
+        result = alrs_lyap(work.A, work.B, algs[0])
         artifacts["hsv.csv"] = (("index", "value"), _hsv_rows(result.values))
         err_rows = [("lyapunov_residual", _fmt(result.residual),
                      str(result.factor.rank))]
@@ -256,7 +258,7 @@ def run_task(cfg, seed, out_dir):
         code = 0 if result.converged else 2
 
     elif task == "atia-bt":
-        result = atia_bt(model, _alg_config(cfg, seed))
+        result = atia_bt(model, algs[0])
         _warn_if_unstable(task, result.rom.rom)
         artifacts["hsv.csv"] = (("index", "value"),
                                 _hsv_rows(result.hankel_estimates))
@@ -313,8 +315,7 @@ def run_task(cfg, seed, out_dir):
             raise ConfigError(
                 f"compare needs a dense-feasible model (n = {model.n} exceeds "
                 f"dense_cap = {dense_cap})")
-        results = [atia_bt(model, _alg_config(cfg, seed, tol=float(tol)))
-                   for tol in cfg["tols"]]
+        results = [atia_bt(model, alg) for alg in algs]
         for tol, res in zip(cfg["tols"], results):
             _warn_if_unstable(f"compare at tol {float(tol):g}", res.rom.rom)
         bt_roms = [bt_square_root(model, res.rom.r).rom for res in results]

@@ -98,14 +98,6 @@ def project(model: StateSpaceModel, vr, wr) -> ReducedModel:
     return ReducedModel(rom=rom, Vr=vr, Wr=wn)
 
 
-def _check_sv_gap(s, r):
-    if r < 1 or r > len(s):
-        raise ValueError(f"r = {r} outside [1, {len(s)}]")
-    if r < len(s) and s[r - 1] - s[r] <= 1e-12 * s[0]:
-        raise SingularValueTieError(
-            f"sigma_{r} - sigma_{r + 1} <= 1e-12 * sigma_1; truncation ill-defined")
-
-
 def square_root_pair(zp, zq, svd, r):
     """Square-root truncation pair ``Vr = Zp V_j S_j^{-1/2}``,
     ``Wr = Zq U_j S_j^{-1/2}`` from the ordered SVD ``(U, S, V)`` of
@@ -137,7 +129,9 @@ def bt_from_factors(model: StateSpaceModel, zp, zq, r) -> ReducedModel:
         raise ValueError("Gramian factors have numerically zero product")
     vr, wr = square_root_pair(zp, zq, svd, r)
     r = vr.shape[1]
-    _check_sv_gap(s, r)
+    if r < len(s) and s[r - 1] - s[r] <= 1e-12 * s[0]:
+        raise SingularValueTieError(
+            f"sigma_{r} - sigma_{r + 1} <= 1e-12 * sigma_1; truncation ill-defined")
     av = model.A.apply(vr)
     rom = StateSpaceModel(wr.T @ av, wr.T @ model.B, model.C @ vr)
     return ReducedModel(rom=rom, Vr=vr, Wr=wr,
@@ -164,26 +158,21 @@ def bt_square_root(model: StateSpaceModel, r) -> ReducedModel:
     return bt_from_factors(model, lp, lq, r)
 
 
-def _eig_truncation(model, gram, r):
-    w, t = np.linalg.eigh(gram)
-    w = w[::-1]
-    t = t[:, ::-1]
-    _check_sv_gap(w, r)
-    vr = t[:, :r]
-    red = project(model, vr, vr)  # Galerkin: T^{-T} = T
-    return replace(red, retained_sv=w[:r].copy())
-
-
 def tcr(model: StateSpaceModel, r) -> ReducedModel:
     """Truncated controllable realization: keep the r most controllable
-    states (top eigenvectors of P, a Galerkin projection)."""
-    return _eig_truncation(model, model.gramians.P, r)
+    states, the square-root truncation of ``(P, P)``. ``Vr`` and ``Wr`` are
+    the top eigenvectors of P (a Galerkin projection) and ``retained_sv``
+    its top eigenvalues; like :func:`bt_square_root`, it caps the order at
+    the factor's numerical rank and raises on an unstable model or a tie."""
+    lp = psd_factor(model.gramians.P)
+    return bt_from_factors(model, lp, lp, r)
 
 
 def tor(model: StateSpaceModel, r) -> ReducedModel:
-    """Truncated observable realization: keep the r most observable states
-    (top eigenvectors of Q, a Galerkin projection)."""
-    return _eig_truncation(model, model.gramians.Q, r)
+    """Truncated observable realization: keep the r most observable states,
+    the square-root truncation of ``(Q, Q)``; see :func:`tcr`."""
+    lq = psd_factor(model.gramians.Q)
+    return bt_from_factors(model, lq, lq, r)
 
 
 def _realify_points(points, dirs, what):
@@ -289,15 +278,17 @@ def tangential_interpolate(model: StateSpaceModel,
     right directions at the right points and along the left directions at
     the left points (Hermite conditions where the point sets coincide).
     """
-    vr = _well_scaled_basis(
-        solve_sylvester_skinny(model.A, -data.Sb.T, model.B @ data.Lb))
-    wr = _well_scaled_basis(
-        solve_sylvester_skinny(model.A.transpose(), -data.Sc.T,
-                               model.C.T @ data.Lc))
-    if vr.shape[1] != wr.shape[1]:
-        r_common = min(vr.shape[1], wr.shape[1])
-        vr, wr = vr[:, :r_common], wr[:, :r_common]
-    return project(model, vr, wr)
+    return _interpolant(
+        model, solve_sylvester_skinny(model.A, -data.Sb.T, model.B @ data.Lb),
+        solve_sylvester_skinny(model.A.transpose(), -data.Sc.T, model.C.T @ data.Lc))
+
+
+def _interpolant(model, v, w):
+    """:func:`project` onto the well-scaled spans of the interpolatory
+    Sylvester solutions ``v`` and ``w``, cut to their common rank."""
+    vr, wr = _well_scaled_basis(v), _well_scaled_basis(w)
+    r = min(vr.shape[1], wr.shape[1])
+    return project(model, vr[:, :r], wr[:, :r])
 
 
 def solve_coupling_pair(model: StateSpaceModel, rom: StateSpaceModel):
@@ -353,11 +344,12 @@ def tsia(model: StateSpaceModel, init, max_iter=200, conv_tol=1e-8) -> ReducedMo
     Starting from ``init`` (a :class:`ReducedModel` or a bare
     :class:`StateSpaceModel` of order r), each sweep reflects ROM poles with
     Re >= 0, then interpolates ``model`` at their mirror images along the
-    ROM's residual directions (:func:`tangential_interpolate`), so the order
-    drops to the smaller rank of its two bases. Iteration stops when the
-    chordal change of the sorted ROM poles drops below ``conv_tol``. On
-    ``max_iter`` exhaustion the best iterate seen is returned with
-    ``converged=False``.
+    ROM's residual directions: the bases are the coupling pair of ``model``
+    and the reflected ROM (:func:`solve_coupling_pair`), projected as in
+    :func:`tangential_interpolate`, so the order drops to the smaller rank
+    of the two. Iteration stops when the chordal change of the sorted ROM
+    poles drops below ``conv_tol``. On ``max_iter`` exhaustion the best
+    iterate seen is returned with ``converged=False``.
     """
     require_hurwitz(model)
     rom = init.rom if isinstance(init, ReducedModel) else init
@@ -367,8 +359,8 @@ def tsia(model: StateSpaceModel, init, max_iter=200, conv_tol=1e-8) -> ReducedMo
     best_change = np.inf
     for it in range(1, max_iter + 1):
         ar = reflect_spectrum(rom.A.to_dense(), floor=0.0)
-        red = tangential_interpolate(model, InterpolationData(
-            Sb=-ar.T, Lb=rom.B.T, Sc=-ar, Lc=rom.C))
+        red = _interpolant(
+            model, *solve_coupling_pair(model, StateSpaceModel(ar, rom.B, rom.C)))
         rom = red.rom
         new_poles = np.linalg.eigvals(rom.A.to_dense())
         change = _pole_change(new_poles, poles)

@@ -223,6 +223,17 @@ class TestAlrsLyap:
         w = np.linalg.eigvalsh(res.factor.core)
         assert w.min() >= -1e-10 * max(w.max(), 1.0)
 
+    @pytest.mark.parametrize("make", [lambda: tibt.heat_rod(400),
+                                      lambda: tibt.random_stable(80, 2, 2, 5)],
+                             ids=["heat_rod400", "random_stable80"])
+    def test_core_is_diag_of_retained_values(self, make, lyapunov_solves):
+        # the core is the truncated projection's Gramian, read off the last
+        # truncation: one projected solve per sweep and none after
+        m = make()
+        res = tibt.alrs_lyap(m.A, m.B, AlrsConfig())
+        assert np.array_equal(res.factor.core, np.diag(res.values))
+        assert len(lyapunov_solves) == res.iterations_used
+
     @pytest.mark.xfail(
         reason="early sweeps overshoot the top value from arbitrary starting "
                "data, so strict within-stage monotonicity fails at the 1e-10 "

@@ -89,10 +89,16 @@ class TestRunDenseBt:
 
 
 class TestProducedOrder:
-    @pytest.mark.parametrize("task", ["dense-bt", "tcr", "tor"])
-    def test_clamped_order_written_and_warned(self, tmp_path, capsys, task):
+    @pytest.mark.parametrize("task, model", [
+        ("dense-bt", {"kind": "illustrative4"}),
+        ("tcr", {"kind": "illustrative4"}),
+        ("tor", {"kind": "illustrative4"}),
+        # P's factor has numerical rank 30
+        ("tcr", {"kind": "heat_rod", "n": 400}),
+    ], ids=["dense-bt", "tcr", "tor", "tcr-heat_rod400"])
+    def test_clamped_order_written_and_warned(self, tmp_path, capsys, task, model):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, model={"kind": "illustrative4"},
+        cfg = write_config(tmp_path, model=model,
                            task=task, r=50, output_dir=str(out))
         assert main(["run", cfg]) == 0
         _, hsv_rows = read_csv(out / "hsv.csv")
@@ -258,6 +264,45 @@ class TestConfigValidation:
         assert err.startswith("error: ")
         assert repr(next(iter(extra))) in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["solve-lyap", "atia-bt", "compare"])
+    @pytest.mark.parametrize("alg", [{"tol": 2}, {"r0": 0}, {"k_max": 2.5}],
+                             ids=lambda alg: next(iter(alg)))
+    def test_bad_alg_rejected_before_model_built(self, tmp_path, capsys, monkeypatch,
+                                                 task, alg):
+        def no_model(*args):
+            raise AssertionError("model built from a bad config")
+
+        monkeypatch.setattr("tibt.cli.build_model", no_model)
+        out = tmp_path / "out"
+        body = {"tols": [1e-3]} if task == "compare" else {}
+        cfg = write_config(tmp_path, model={"kind": "heat_rod", "n": 50}, task=task,
+                           alg=alg, output_dir=str(out), **body)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert next(iter(alg)) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", [
+        None,  # no config file at all
+        [{"task": "dense-bt"}],
+        {"task": "dense-bt", "r": 2},
+        {"task": "dense-bt", "r": 2, "model": "illustrative4"},
+        {"task": "dense-bt", "r": 2, "model": {"kind": "bogus"}},
+        {"task": "dense-bt", "r": 2, "model": {"kind": "illustrative4", "n": 4}},
+        {"task": "atia-bt", "model": {"kind": "illustrative4"}, "alg": [1e-3]},
+    ], ids=["missing-file", "top-level-list", "no-model", "model-not-object",
+            "unknown-kind", "unknown-model-key", "alg-not-object"])
+    def test_malformed_config_names_the_file(self, tmp_path, capsys, body):
+        path = tmp_path / "config.json"
+        if body is not None:
+            path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("missing", ["a", "c"])

@@ -3,7 +3,7 @@ import pytest
 from conftest import TEST_POINTS, transfer_mismatch
 
 import tibt
-from tibt.errors import NonHurwitzError, SingularValueTieError
+from tibt.errors import NonHurwitzError, SingularProjectionError, SingularValueTieError
 from tibt.linalg import ordered_svd, solve_lyapunov_dense, solve_sylvester_skinny
 from tibt.reducers import (
     SCALE_CLIP_RTOL,
@@ -148,6 +148,41 @@ class TestTcrTor:
         _, qr = rom_gramians(red)
         lam = np.diag(red.retained_sv)
         assert np.linalg.norm(qr - lam) <= 1e-6 * np.linalg.norm(lam)
+
+    @pytest.mark.parametrize("make, orders", [
+        (tibt.illustrative4, range(1, 5)),
+        (lambda: tibt.random_stable(60, 2, 2, 0), range(2, 21)),
+        (lambda: tibt.heat_rod(400), range(4, 17)),
+    ], ids=["illustrative4", "random_stable60", "heat_rod400"])
+    def test_match_eigenvector_projection(self, make, orders):
+        # the reference: a Galerkin projection onto the top eigenvectors
+        m = make()
+        pts = 1j * np.logspace(-3, 5, 50)
+        for reducer, gram in ((tibt.tcr, m.gramians.P), (tibt.tor, m.gramians.Q)):
+            w, t = np.linalg.eigh(gram)
+            w, t = w[::-1], t[:, ::-1]
+            for r in orders:
+                red = reducer(m, r)
+                ref = project(m, t[:, :r], t[:, :r])
+                h = np.array([tibt.eval_transfer(red.rom, s) for s in pts])
+                h_ref = np.array([tibt.eval_transfer(ref.rom, s) for s in pts])
+                peak = np.max(np.linalg.norm(h_ref, ord=2, axis=(1, 2)))
+                gap = np.max(np.linalg.norm(h - h_ref, ord=2, axis=(1, 2)))
+                assert gap <= 1e-12 * peak, (reducer.__name__, r)
+                assert np.max(np.abs(red.retained_sv - w[:r]) / w[:r]) <= 1e-13
+
+    @pytest.mark.parametrize("reducer", [tibt.tcr, tibt.tor])
+    def test_order_capped_at_numerical_rank(self, reducer):
+        # heat_rod(400)'s Gramian factors have numerical rank 30, and each
+        # of its eigenvalues 27 to 30 is within 1e-12 of the largest of the
+        # next one
+        m = tibt.heat_rod(400)
+        for r in (30, 31, 50):
+            red = reducer(m, r)
+            assert red.r == len(red.retained_sv) == 30
+        for r in (27, 28, 29):
+            with pytest.raises(SingularValueTieError):
+                reducer(m, r)
 
 
 class TestTangentialInterpolate:
@@ -326,6 +361,25 @@ class TestTwoStepLowRankBt:
             ref = tibt.bt_square_root(interp, 4)
             assert transfer_mismatch(red.rom, ref.rom, TEST_POINTS) <= 1e-8
         assert checked >= 15
+
+
+    def test_trial_spans_of_different_rank_rejected(self):
+        m = tibt.random_stable(20, 2, 2, seed=6)
+        rng = np.random.default_rng(6)
+        vk = rng.standard_normal((20, 4))
+        wk = vk.copy()
+        wk[:, 3] = wk[:, 0] + wk[:, 1]
+        with pytest.raises(SingularProjectionError, match="different numerical ranks"):
+            tibt.two_step_lowrank_bt(m, vk, wk, 2)
+
+    def test_nearly_orthogonal_spans_rejected(self):
+        # span(Wk) meets span(Vk) along e1 only: Wk^T Vk = diag(1, 1e-14)
+        m = tibt.random_stable(20, 2, 2, seed=6)
+        eye = np.eye(20)
+        vk = eye[:, :2]
+        wk = np.column_stack([eye[:, 0], eye[:, 2] + 1e-14 * eye[:, 1]])
+        with pytest.raises(SingularProjectionError, match="numerically singular"):
+            tibt.two_step_lowrank_bt(m, vk, wk, 1)
 
 
 class TestNearOptimalityOfBalancedTruncation:

@@ -1,19 +1,27 @@
-"""One SHA-256 per run of the adaptive drivers, for bitwise comparisons.
+"""Two SHA-256s per run of the adaptive drivers and TSIA, for bitwise
+comparisons.
 
     PYTHONPATH=src python3 tools/driver_digest.py > digest.txt
 
 Runs ``alrs_lyap`` and ``atia_bt`` over a fixed matrix of models, tolerances
-and seeds and prints one line per run: its label and the SHA-256 of every
-``IterationRecord`` and every result array, or of the exception text when
-the run raises. The matrix is ``heat_rod`` (n = 400, 1000, 2000, 10^4) and
-``random_stable(n, 2, 2, 5)`` (n = 80, 150, 300) at tol 1e-4, 1e-5, 1e-6 and
-seeds 0 and 3 (84 runs), then the damped chain at tol 1e-5, seeds 0, 2, 5,
-and the 2x2-block family at tol 1e-6, seeds 0-5, from ``tests/conftest.py``.
+and seeds and prints one line per run: its label, the SHA-256 of its ladder
+history (every ``IterationRecord``) and the SHA-256 of every result array.
+When the run raises, both are the SHA-256 of the exception text. The matrix
+is ``heat_rod`` (n = 400, 1000, 2000, 10^4) and ``random_stable(n, 2, 2, 5)``
+(n = 80, 150, 300) at tol 1e-4, 1e-5, 1e-6 and seeds 0 and 3 (84 runs), then
+the damped chain at tol 1e-5, seeds 0, 2, 5, and the 2x2-block family at tol
+1e-6, seeds 0-5, from ``tests/conftest.py``. Then come 20 ``tsia`` runs
+(``illustrative4`` at r = 2, 3; ``random_stable(60, 2, 2, 0)`` at r = 2, 4,
+6; ``random_stable(150, 2, 2, 5)`` at r = 4, 8; ``heat_rod(400)`` at r = 4,
+6, 8), each from the ``random_stable(r, m, p, seed)`` start of init seeds 0
+and 1, as the CLI's ``tsia`` task builds it; their history is the iteration
+count.
 
 ``tibt`` is imported from ``PYTHONPATH``, so running this script against two
 checkouts' ``src`` and diffing the outputs checks that a change leaves the
-drivers' results bitwise unchanged. One BLAS thread is pinned before numpy
-loads, since OpenBLAS rounds differently on several threads.
+results bitwise unchanged, or moves only the result hash. One BLAS thread is
+pinned before numpy loads, since OpenBLAS rounds differently on several
+threads.
 """
 
 import os
@@ -46,26 +54,62 @@ def _models():
         yield f"block_family({seed})", lambda seed=seed: block_family(seed), (1e-6,), (0,)
 
 
+def _tsia_models():
+    yield "illustrative4()", tibt.illustrative4, (2, 3)
+    yield "random_stable(60,2,2,0)", lambda: tibt.random_stable(60, 2, 2, 0), (2, 4, 6)
+    yield "random_stable(150,2,2,5)", lambda: tibt.random_stable(150, 2, 2, 5), (4, 8)
+    yield "heat_rod(400)", lambda: tibt.heat_rod(400), (4, 6, 8)
+
+
 def _feed(h, x):
+    if x is None:  # the bytes of an object array would be a pointer
+        h.update(b"None")
+        return
     x = np.asarray(x)
     h.update(f"{x.dtype.str}{x.shape}".encode())
     h.update(np.ascontiguousarray(x).tobytes())
 
 
-def _alrs(model, cfg, h):
-    res = tibt.alrs_lyap(model.A, model.B, cfg)
-    for arr in (res.factor.basis, res.factor.core, res.residual, res.converged):
-        _feed(h, arr)
-    return res.singular_history
+def _feed_history(h, history):
+    for rec in history:
+        h.update(f"{rec.k},{rec.i},{rec.r}".encode())
+        _feed(h, rec.values)
 
 
-def _atia(model, cfg, h):
-    res = tibt.atia_bt(model, cfg)
-    red = res.rom
+def _feed_reduced(h, red):
     for arr in (red.rom.A.to_dense(), red.rom.B, red.rom.C, red.Vr, red.Wr,
                 red.retained_sv, red.converged):
         _feed(h, arr)
-    return res.history
+
+
+def _alrs(model, cfg, hist, result):
+    res = tibt.alrs_lyap(model.A, model.B, cfg)
+    for arr in (res.factor.basis, res.factor.core, res.residual, res.converged):
+        _feed(result, arr)
+    _feed_history(hist, res.singular_history)
+
+
+def _atia(model, cfg, hist, result):
+    res = tibt.atia_bt(model, cfg)
+    _feed_reduced(result, res.rom)
+    _feed_history(hist, res.history)
+
+
+def _tsia(model, r, seed, hist, result):
+    red = tibt.tsia(model, tibt.random_stable(r, model.m, model.p, seed))
+    _feed_reduced(result, red)
+    _feed(hist, red.iterations)
+
+
+def _digest(label, run):
+    """The line of one run: ``run(hist, result)`` feeds both hashes."""
+    hist, result, note = hashlib.sha256(), hashlib.sha256(), ""
+    try:
+        run(hist, result)
+    except Exception as exc:  # the digest records the failure
+        hist = result = hashlib.sha256(f"{type(exc).__name__}: {exc}".encode())
+        note = f" raised {type(exc).__name__}"
+    return f"{label} history={hist.hexdigest()} result={result.hexdigest()}{note}"
 
 
 def main():
@@ -74,18 +118,17 @@ def main():
         for driver, run in (("alrs_lyap", _alrs), ("atia_bt", _atia)):
             for tol in tols:
                 for seed in seeds:
-                    h, note = hashlib.sha256(), ""
-                    try:
-                        history = run(model, tibt.AlrsConfig(tol=tol, seed=seed), h)
-                    except Exception as exc:  # the digest records the failure
-                        h = hashlib.sha256(f"{type(exc).__name__}: {exc}".encode())
-                        note = f" raised {type(exc).__name__}"
-                    else:
-                        for rec in history:
-                            h.update(f"{rec.k},{rec.i},{rec.r}".encode())
-                            _feed(h, rec.values)
-                    print(f"{driver} {label} tol={tol:g} seed={seed} {h.hexdigest()}{note}",
+                    cfg = tibt.AlrsConfig(tol=tol, seed=seed)
+                    print(_digest(f"{driver} {label} tol={tol:g} seed={seed}",
+                                  lambda hist, result: run(model, cfg, hist, result)),
                           flush=True)
+    for label, make, orders in _tsia_models():
+        model = make()
+        for r in orders:
+            for seed in (0, 1):
+                print(_digest(f"tsia {label} r={r} seed={seed}",
+                              lambda hist, result: _tsia(model, r, seed, hist, result)),
+                      flush=True)
 
 
 if __name__ == "__main__":
