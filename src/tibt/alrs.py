@@ -129,9 +129,8 @@ class AlrsResult:
 
     @property
     def values(self) -> np.ndarray:
-        """Final singular-value estimates (eigenvalues of the core)."""
-        w = np.linalg.eigvalsh(self.factor.core)[::-1]
-        return np.clip(w, 0.0, None)
+        """Final singular-value estimates, the diagonal of the core."""
+        return np.diag(self.factor.core).copy()
 
 
 def padded_change(new, prev):

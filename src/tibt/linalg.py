@@ -625,14 +625,15 @@ def solve_sylvester_skinny(a, m, f):
         return np.zeros((op.n, 0))
 
     t, u = sla.schur(m, output="real")
-    g = f @ u
-    y = np.zeros_like(g)
+    # each block's right-hand side is updated in place, then overwritten by
+    # its solution
+    y = f @ u
     j = r - 1
     while j >= 0:
         pair = j > 0 and t[j, j - 1] != 0.0
         jb = j - 1 if pair else j
         ncols = 2 if pair else 1
-        rhs = g[:, jb:jb + ncols].copy()
+        rhs = y[:, jb:jb + ncols]
         if jb + ncols < r:
             rhs += y[:, jb + ncols:] @ t[jb:jb + ncols, jb + ncols:].T
         try:
@@ -644,8 +645,6 @@ def solve_sylvester_skinny(a, m, f):
             raise SpectrumOverlapError(
                 f"spectrum of A meets eigenvalue {-t[jb, jb]:.6g} of -M") from exc
         j = jb - 1
-    # the n-by-r temporaries go before the product allocates its result
-    del g, rhs
     return y @ u.T
 
 

@@ -22,7 +22,6 @@ from .linalg import (
     ordered_svd,
     orthonormalize,
     psd_factor,
-    solve_lyapunov_dense,
     solve_sylvester_skinny,
 )
 from .system import StateSpaceModel, require_hurwitz
@@ -378,36 +377,31 @@ def two_step_lowrank_bt(model: StateSpaceModel, vk, wk, r) -> ReducedModel:
 
     Exactly equivalent to reducing the order-k interpolant
     ``C Vk (s Wk^T Vk - Wk^T A Vk)^{-1} Wk^T B`` by classical balanced
-    truncation and lifting the result: the Lyapunov equations are solved in
-    the interpolant's (oblique) coordinates, and the lifted factors
-    ``Vk Zp``, ``Wk Zq`` go to :func:`bt_from_factors`, whose product
-    ``Zq^T Wk^T Vk Zp`` carries the cross weight.
+    truncation and lifting the result: the surrogate is the
+    :func:`project` of ``model`` onto the orthonormalized spans, its
+    :attr:`~tibt.system.StateSpaceModel.gramians` are solved in its own
+    coordinates, and the lifted factors ``Vr Zp``, ``Wr Zq`` go to
+    :func:`bt_from_factors` (``Wr^T Vr = I``, so their product is
+    ``Zq^T Zp``).
 
     Raises
     ------
     SingularProjectionError
-        If ``Wk^T Vk`` is numerically singular after orthonormalization.
+        If the spans have different numerical ranks, or from
+        :func:`project` if ``Wk^T Vk`` is numerically singular.
     NonHurwitzError
-        If the order-k interpolant is unstable (its Gramians then do not
-        exist).
+        From the surrogate's Gramians, if the order-k interpolant is
+        unstable.
     """
     vk = orthonormalize(np.asarray(vk, dtype=float))
     wk = orthonormalize(np.asarray(wk, dtype=float))
     if vk.shape[1] != wk.shape[1]:
         raise SingularProjectionError(
             "trial subspaces have different numerical ranks")
-    e = wk.T @ vk
-    if np.linalg.cond(e) > 1e12:
-        raise SingularProjectionError("Wk^T Vk is numerically singular")
-    k = e.shape[0]
-    ad = wk.T @ model.A.apply(vk)
-    # the interpolant's (E^-1 Ad, E^-1 Bd) for P and the transposes of
-    # (Ad E^-1, Cd E^-1) for Q
-    left = np.linalg.solve(e, np.hstack([ad, wk.T @ model.B]))
-    right = np.linalg.solve(e.T, np.hstack([ad.T, (model.C @ vk).T]))
-    pk = solve_lyapunov_dense(left[:, :k], left[:, k:] @ left[:, k:].T)
-    qk = solve_lyapunov_dense(right[:, :k], right[:, k:] @ right[:, k:].T)
-    return bt_from_factors(model, vk @ psd_factor(pk), wk @ psd_factor(qk), r)
+    surrogate = project(model, vk, wk)
+    gram = surrogate.rom.gramians
+    return bt_from_factors(model, surrogate.Vr @ psd_factor(gram.P),
+                           surrogate.Wr @ psd_factor(gram.Q), r)
 
 
 def h2_optimality_residuals(model: StateSpaceModel, red: ReducedModel) -> dict:

@@ -234,6 +234,16 @@ class TestAlrsLyap:
         assert np.array_equal(res.factor.core, np.diag(res.values))
         assert len(lyapunov_solves) == res.iterations_used
 
+    def test_values_read_off_the_core_without_an_eigensolve(self, monkeypatch):
+        m = tibt.heat_rod(400)
+        res = tibt.alrs_lyap(m.A, m.B, AlrsConfig())
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("values ran an eigensolve on a diagonal core")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert np.array_equal(res.values, np.diag(res.factor.core))
+
     @pytest.mark.xfail(
         reason="early sweeps overshoot the top value from arbitrary starting "
                "data, so strict within-stage monotonicity fails at the 1e-10 "

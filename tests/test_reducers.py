@@ -103,6 +103,17 @@ class TestBtSquareRoot:
         with pytest.raises(SingularValueTieError):
             tibt.bt_square_root(m, 1)
 
+    @pytest.mark.parametrize("r", [1, 8, 16, 17, 18, 20, 24, 30, 50, 59])
+    def test_rod_past_its_noise_floor_raises_or_is_stable(self, r):
+        # heat_rod(400)'s Hankel values past the 17th sit in round-off,
+        # where the tie check is the only guard against an unstable ROM
+        m = tibt.heat_rod(400)
+        try:
+            red = tibt.bt_square_root(m, r)
+        except SingularValueTieError:
+            return
+        assert tibt.is_hurwitz(red.rom)
+
 
 @pytest.mark.parametrize("reducer", [tibt.bt_square_root, tibt.tcr, tibt.tor])
 def test_unstable_model_rejected_by_its_gramians(reducer):
@@ -380,6 +391,14 @@ class TestTwoStepLowRankBt:
         wk = np.column_stack([eye[:, 0], eye[:, 2] + 1e-14 * eye[:, 1]])
         with pytest.raises(SingularProjectionError, match="numerically singular"):
             tibt.two_step_lowrank_bt(m, vk, wk, 1)
+
+    def test_unstable_surrogate_rejected(self):
+        # A is Hurwitz, but its projection onto [1, 1]^T is the 1x1 matrix 4
+        m = tibt.StateSpaceModel(np.array([[-1.0, 10.0], [0.0, -1.0]]),
+                                 np.ones((2, 1)), np.ones((1, 2)))
+        v = np.ones((2, 1))
+        with pytest.raises(NonHurwitzError):
+            tibt.two_step_lowrank_bt(m, v, v, 1)
 
 
 class TestNearOptimalityOfBalancedTruncation:

@@ -1,5 +1,5 @@
-"""Two SHA-256s per run of the adaptive drivers and TSIA, for bitwise
-comparisons.
+"""Two SHA-256s per run of the adaptive drivers, TSIA and the truncations,
+for bitwise comparisons.
 
     PYTHONPATH=src python3 tools/driver_digest.py > digest.txt
 
@@ -15,7 +15,13 @@ the damped chain at tol 1e-5, seeds 0, 2, 5, and the 2x2-block family at tol
 6; ``random_stable(150, 2, 2, 5)`` at r = 4, 8; ``heat_rod(400)`` at r = 4,
 6, 8), each from the ``random_stable(r, m, p, seed)`` start of init seeds 0
 and 1, as the CLI's ``tsia`` task builds it; their history is the iteration
-count.
+count. Last come the truncations, whose history is the order: 22
+``two_step_lowrank_bt`` runs (``random_stable(30, 2, 2, 5)`` on the full
+space at r = 5, ``heat_rod(120)`` on its Krylov spans at 3, 30 and 300 at
+r = 3, and the 20 seeded trial-span pairs of acceptance criterion 8 at
+r = 4), then ``bt_square_root``, ``tcr`` and ``tor`` on ``illustrative4``
+(r = 1-3), ``random_stable(60, 2, 2, 0)`` (r = 4, 8), ``heat_rod(400)``
+(r = 4, 8, 16) and ``heat_rod(1000)`` (r = 8).
 
 ``tibt`` is imported from ``PYTHONPATH``, so running this script against two
 checkouts' ``src`` and diffing the outputs checks that a change leaves the
@@ -61,6 +67,29 @@ def _tsia_models():
     yield "heat_rod(400)", lambda: tibt.heat_rod(400), (4, 6, 8)
 
 
+def _two_step_cases():
+    m = tibt.random_stable(30, 2, 2, 5)
+    yield "random_stable(30,2,2,5) full space", m, np.eye(30), np.eye(30), 5
+    m = tibt.heat_rod(120)
+    pts = (3.0, 30.0, 300.0)
+    vk = np.column_stack([m.A.shifted_solve(s, m.B[:, 0]) for s in pts])
+    wk = np.column_stack([m.A.transpose().shifted_solve(s, m.C[0]) for s in pts])
+    yield "heat_rod(120) krylov", m, vk, wk, 3
+    rng = np.random.default_rng(123)
+    for trial in range(20):
+        m = tibt.random_stable(40, 2, 2, 100 + trial)
+        vk = tibt.linalg.orthonormalize(rng.standard_normal((40, 10)))
+        wk = tibt.linalg.orthonormalize(vk + 0.15 * rng.standard_normal((40, 10)))
+        yield f"random_stable(40,2,2,{100 + trial}) trial={trial}", m, vk, wk, 4
+
+
+def _truncation_models():
+    yield "illustrative4()", tibt.illustrative4, (1, 2, 3)
+    yield "random_stable(60,2,2,0)", lambda: tibt.random_stable(60, 2, 2, 0), (4, 8)
+    yield "heat_rod(400)", lambda: tibt.heat_rod(400), (4, 8, 16)
+    yield "heat_rod(1000)", lambda: tibt.heat_rod(1000), (8,)
+
+
 def _feed(h, x):
     if x is None:  # the bytes of an object array would be a pointer
         h.update(b"None")
@@ -101,6 +130,12 @@ def _tsia(model, r, seed, hist, result):
     _feed(hist, red.iterations)
 
 
+def _truncation(reduce, args, hist, result):
+    red = reduce(*args)
+    _feed_reduced(result, red)
+    _feed(hist, red.r)
+
+
 def _digest(label, run):
     """The line of one run: ``run(hist, result)`` feeds both hashes."""
     hist, result, note = hashlib.sha256(), hashlib.sha256(), ""
@@ -128,6 +163,20 @@ def main():
             for seed in (0, 1):
                 print(_digest(f"tsia {label} r={r} seed={seed}",
                               lambda hist, result: _tsia(model, r, seed, hist, result)),
+                      flush=True)
+    for label, model, vk, wk, r in _two_step_cases():
+        args = (model, vk, wk, r)
+        print(_digest(f"two_step_lowrank_bt {label} r={r}",
+                      lambda hist, result: _truncation(
+                          tibt.two_step_lowrank_bt, args, hist, result)),
+              flush=True)
+    for label, make, orders in _truncation_models():
+        model = make()
+        for reducer in (tibt.bt_square_root, tibt.tcr, tibt.tor):
+            for r in orders:
+                print(_digest(f"{reducer.__name__} {label} r={r}",
+                              lambda hist, result: _truncation(
+                                  reducer, (model, r), hist, result)),
                       flush=True)
 
 
