@@ -12,8 +12,9 @@ Both drivers run one sweep loop, :func:`_sweep`, over the bases of their
 sides: ``(V,)`` here and ``(V, W)`` in :mod:`tibt.atia`. It ranks through
 :class:`_RankLadder`, truncates through
 :func:`~tibt.reducers.square_root_pair`, and reflects each side's projected
-matrix and the interim ROM into the left half-plane, so ``A`` need not be
-dissipative (on a dissipative ``A`` both reflections are no-ops).
+matrix and each ROM, where it forms it, into the left half-plane, so ``A``
+need not be dissipative and every ROM it interpolates at or returns is
+Hurwitz (on a dissipative ``A`` both reflections are no-ops).
 
 Within a stage the basis grows append-only: new directions are
 orthogonalized against it by block classical Gram-Schmidt with
@@ -42,7 +43,7 @@ from .linalg import (
     solve_lyapunov_dense,
     solve_sylvester_skinny,
 )
-from .reducers import reflect_spectrum, square_root_pair
+from .reducers import BIORTH_COND_CAP, reflect_spectrum, square_root_pair
 from .system import require_hurwitz
 
 __all__ = [
@@ -55,9 +56,8 @@ __all__ = [
 ]
 
 # Margin pushed into the left half-plane when reflecting unstable projected
-# or interim eigenvalues, and the condition-number cap on W_k^T V_k.
+# or interim eigenvalues.
 REFLECT_FLOOR = 1e-8
-BIORTH_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -300,17 +300,18 @@ def _rebiorthogonalize(vb, wb, wv):
 
 def _sweep(cfg, bases, solve, rom, on_iteration):
     """The mirror-image fixed point over the bases of the sides, ``(V,)``
-    (Galerkin: W is V) or ``(V, W)``, from the interim ROM ``rom``;
+    (Galerkin: W is V) or ``(V, W)``, from the stable ROM ``rom``;
     ``solve(Ar, Br, Cr)`` gives each side's new directions, and the hook
-    gets ``(record, *bases, *new_directions)``. Returns the ladder and,
-    unless a basis came out empty, the last ``(Ar, Br, Cr)``, its pair
-    ``(Vr, Wr)`` in basis coordinates and its ordered singular values."""
+    gets ``(record, *bases, *new_directions)``. Each sweep forms one ROM
+    and reflects its ``Ar`` once; the next sweep interpolates at that ROM.
+    Returns the ladder and, unless a basis came out empty, the last
+    ``(Ar, Br, Cr)``, its pair ``(Vr, Wr)`` in basis coordinates and its
+    ordered singular values."""
     ladder = _RankLadder(cfg)
     vb, wb = bases[0], bases[-1]
     one_sided = wb is vb
     ar, br, cr = rom
     while True:
-        ar = reflect_spectrum(ar, floor=REFLECT_FLOOR)
         new = solve(ar, br, cr)
         if one_sided:
             vb.extend(new[0])
@@ -336,7 +337,8 @@ def _sweep(cfg, bases, solve, rom, on_iteration):
         if on_iteration is not None:
             on_iteration(ladder.history[-1], *(basis.v for basis in bases), *new)
         vr, wr = square_root_pair(zp, zq, svd, ladder.r)
-        ar, br, cr = wr.T @ wav @ vr, wr.T @ wtb, cv @ vr
+        ar = reflect_spectrum(wr.T @ wav @ vr, floor=REFLECT_FLOOR)
+        br, cr = wr.T @ wtb, cv @ vr
         if ladder.done(svd[1]):
             return ladder, ((ar, br, cr), (vr, wr), svd[1])
         if stage_done:  # the next stage starts from the latest directions

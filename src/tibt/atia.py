@@ -6,7 +6,8 @@ current ROM's poles, grows both trial bases, and balances the projected
 Gramian factors. Stagnation of the retained Hankel estimates triggers an
 order increase and a basis reset; the run ends when the r-th estimate falls
 below ``tol`` times the largest, leaving a ROM that carries the dominant
-Hankel singular values of the full model.
+Hankel singular values of the full model. Each ROM, the returned one
+included, is reflected into the left half-plane where it is formed.
 
 The sweep loop is the Lyapunov solver's (:func:`tibt.alrs._sweep`) over
 two of its append-only bases, one for ``(A, B)`` and one for ``(A^T,
@@ -62,9 +63,10 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
 
     Per sweep the dual pair of skinny Sylvester equations extends both
     bases, and the SVD of the product of their projected Gramian factors
-    yields the oblique truncation pair and updated Hankel estimates;
-    unstable interim ROMs and projected matrices are reflected into the
-    left half-plane first. ``converged`` reports whether rank growth
+    yields the oblique truncation pair and updated Hankel estimates.
+    Unstable projected matrices are reflected into the left half-plane
+    before their Lyapunov solves, and each ROM as it is formed, so the
+    returned ROM is Hurwitz. ``converged`` reports whether rank growth
     stopped by tolerance or by ``k_max`` exhaustion.
 
     ``on_iteration``, when given, is called once per sweep with

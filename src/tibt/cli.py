@@ -197,14 +197,6 @@ def _produced_order(task, red, r_req, n):
     return r
 
 
-def _warn_if_unstable(what, rom):
-    """Warn on stderr when an adaptive ROM is not Hurwitz."""
-    re_max = np.max(np.linalg.eigvals(rom.A.to_dense()).real)
-    if re_max >= 0.0:
-        print(f"warning: {what} produced an order-{rom.n} ROM that is not "
-              f"Hurwitz (max Re lambda = {re_max:.3e})", file=sys.stderr)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -259,7 +251,6 @@ def run_task(cfg, seed, out_dir):
 
     elif task == "atia-bt":
         result = atia_bt(model, algs[0])
-        _warn_if_unstable(task, result.rom.rom)
         artifacts["hsv.csv"] = (("index", "value"),
                                 _hsv_rows(result.hankel_estimates))
         err_rows = [("hinf_rel_error_vs_original",
@@ -316,8 +307,6 @@ def run_task(cfg, seed, out_dir):
                 f"compare needs a dense-feasible model (n = {model.n} exceeds "
                 f"dense_cap = {dense_cap})")
         results = [atia_bt(model, alg) for alg in algs]
-        for tol, res in zip(cfg["tols"], results):
-            _warn_if_unstable(f"compare at tol {float(tol):g}", res.rom.rom)
         bt_roms = [bt_square_root(model, res.rom.r).rom for res in results]
         ratios = hinf_rel_error(model, [res.rom.rom for res in results] + bt_roms,
                                 _default_grid(model, cfg))

@@ -46,6 +46,8 @@ __all__ = [
 # Trailing singular values below this fraction of the largest are excluded
 # from the S^(-1/2) scaling in square-root truncations.
 SCALE_CLIP_RTOL = 1e-14
+# Largest condition number of W^T V that a projection accepts.
+BIORTH_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,9 @@ class ReducedModel:
     The stored pair satisfies ``Wr^T Vr = I`` (Petrov-Galerkin). The
     truncations and :func:`~tibt.atia.atia_bt` set ``retained_sv``, the
     retained values (or estimates) largest first. Iterative reducers set
-    ``converged``; only :func:`tsia` sets ``iterations``.
+    ``converged``; only :func:`tsia` sets ``iterations``. From
+    :func:`~tibt.atia.atia_bt`, ``rom`` is the projection by this pair with
+    its poles at Re >= -1e-12 reflected (:func:`reflect_spectrum`).
     """
 
     rom: StateSpaceModel
@@ -81,15 +85,16 @@ def project(model: StateSpaceModel, vr, wr) -> ReducedModel:
     Raises
     ------
     SingularProjectionError
-        If ``Wr^T Vr`` has condition number above 1e12.
+        If ``Wr^T Vr`` has condition number above ``BIORTH_COND_CAP``.
     """
     vr = np.asarray(vr, dtype=float)
     wr = np.asarray(wr, dtype=float)
-    if vr.ndim != 2 or wr.shape != vr.shape or vr.shape[0] != model.n:
-        raise ValueError(
-            f"Vr and Wr must both be ({model.n}, r), got {vr.shape}, {wr.shape}")
+    if (vr.ndim != 2 or wr.shape != vr.shape or vr.shape[0] != model.n
+            or vr.shape[1] < 1):
+        raise ValueError(f"Vr and Wr must both be ({model.n}, r) with r >= 1, "
+                         f"got {vr.shape}, {wr.shape}")
     wtv = wr.T @ vr
-    if not np.all(np.isfinite(wtv)) or np.linalg.cond(wtv) > 1e12:
+    if not np.all(np.isfinite(wtv)) or np.linalg.cond(wtv) > BIORTH_COND_CAP:
         raise SingularProjectionError("W^T V is numerically singular")
     wn = wr @ np.linalg.inv(wtv).T  # Wn^T Vr = I
     av = model.A.apply(vr)

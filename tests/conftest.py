@@ -139,6 +139,12 @@ def damped_chain(n_mass=100, k=100.0, alpha=1.0, beta=0.2):
     return tibt.StateSpaceModel(a, b, c)
 
 
+def light_chain(n_mass=200):
+    """The lightly damped chain: :func:`damped_chain` with alpha = beta =
+    0.02."""
+    return damped_chain(n_mass=n_mass, alpha=0.02, beta=0.02)
+
+
 def block_family(seed, n=120):
     """A Hurwitz but not dissipative model: ``A = Q blkdiag([a_i, 12; 0,
     b_i]) Q^T`` with a random orthogonal ``Q``, ``a_i`` drawn from

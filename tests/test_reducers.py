@@ -53,6 +53,15 @@ class TestProject:
         scaled = project(m, vr @ r_mat, wr @ s_mat)
         assert transfer_mismatch(scaled.rom, base.rom, TEST_POINTS) <= 1e-8
 
+    @pytest.mark.parametrize("reduce", [
+        lambda m: tibt.tangential_interpolate(m, tibt.InterpolationData.from_points(
+            [1.0, 2.0], np.zeros((2, 1)), [1.0, 2.0], np.zeros((2, 1)))),
+        lambda m: tibt.two_step_lowrank_bt(m, np.zeros((8, 2)), np.zeros((8, 2)), 1),
+    ], ids=["zero-directions", "zero-trial-spans"])
+    def test_empty_basis_rejected(self, reduce):
+        with pytest.raises(ValueError, match=r"must both be \(8, r\) with r >= 1"):
+            reduce(tibt.random_stable(8, 1, 1, seed=45))
+
     def test_normalization_invariant(self):
         m = tibt.random_stable(9, 1, 1, seed=43)
         rng = np.random.default_rng(44)

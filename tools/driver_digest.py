@@ -9,13 +9,15 @@ history (every ``IterationRecord``) and the SHA-256 of every result array.
 When the run raises, both are the SHA-256 of the exception text. The matrix
 is ``heat_rod`` (n = 400, 1000, 2000, 10^4) and ``random_stable(n, 2, 2, 5)``
 (n = 80, 150, 300) at tol 1e-4, 1e-5, 1e-6 and seeds 0 and 3 (84 runs), then
-the damped chain at tol 1e-5, seeds 0, 2, 5, and the 2x2-block family at tol
-1e-6, seeds 0-5, from ``tests/conftest.py``. Then come 20 ``tsia`` runs
-(``illustrative4`` at r = 2, 3; ``random_stable(60, 2, 2, 0)`` at r = 2, 4,
-6; ``random_stable(150, 2, 2, 5)`` at r = 4, 8; ``heat_rod(400)`` at r = 4,
-6, 8), each from the ``random_stable(r, m, p, seed)`` start of init seeds 0
-and 1, as the CLI's ``tsia`` task builds it; their history is the iteration
-count. Last come the truncations, whose history is the order: 22
+``heat_rod(10^5)`` at tol 1e-5, seeds 0 and 7 (the ``bt_rod_100k`` benchmark
+config at those CLI seeds), and from ``tests/conftest.py`` the damped chain
+at tol 1e-5, seeds 0, 2, 5, the light chain (N = 200) at tol 1e-5, seeds
+0-2, and the 2x2-block family at tol 1e-6, seeds 0-5. Then come 20 ``tsia``
+runs (``illustrative4`` at r = 2, 3; ``random_stable(60, 2, 2, 0)`` at r =
+2, 4, 6; ``random_stable(150, 2, 2, 5)`` at r = 4, 8; ``heat_rod(400)`` at
+r = 4, 6, 8), each from the ``random_stable(r, m, p, seed)`` start of init
+seeds 0 and 1, as the CLI's ``tsia`` task builds it; their history is the
+iteration count. Last come the truncations, whose history is the order: 22
 ``two_step_lowrank_bt`` runs (``random_stable(30, 2, 2, 5)`` on the full
 space at r = 5, ``heat_rod(120)`` on its Krylov spans at 3, 30 and 300 at
 r = 3, and the 20 seeded trial-span pairs of acceptance criterion 8 at
@@ -43,7 +45,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 
 import tibt  # noqa: E402
-from conftest import block_family, damped_chain  # noqa: E402
+from conftest import block_family, damped_chain, light_chain  # noqa: E402
 
 TOLS = (1e-4, 1e-5, 1e-6)
 SEEDS = (0, 3)
@@ -55,7 +57,9 @@ def _models():
     for n in (80, 150, 300):
         yield (f"random_stable({n},2,2,5)",
                lambda n=n: tibt.random_stable(n, 2, 2, 5), TOLS, SEEDS)
+    yield "heat_rod(100000)", lambda: tibt.heat_rod(10**5), (1e-5,), (0, 7)
     yield "damped_chain()", damped_chain, (1e-5,), (0, 2, 5)
+    yield "damped_chain(200,alpha=0.02,beta=0.02)", light_chain, (1e-5,), (0, 1, 2)
     for seed in range(6):
         yield f"block_family({seed})", lambda seed=seed: block_family(seed), (1e-6,), (0,)
 
