@@ -55,11 +55,6 @@ __all__ = [
     "lowrank_lyapunov_residual",
 ]
 
-# Margin pushed into the left half-plane when reflecting unstable projected
-# or interim eigenvalues.
-REFLECT_FLOOR = 1e-8
-
-
 @dataclass(frozen=True)
 class AlrsConfig:
     """Run parameters: initial rank, rank increment, tolerance, per-stage and
@@ -284,7 +279,7 @@ class _Basis:
     def gramian_factor(self):
         """Factor ``Z`` of the projected Gramian ``V Z Z^T V^T``, solved with
         ``V^T A V`` reflected into the left half-plane (see the module)."""
-        ak = reflect_spectrum(self.ak, floor=REFLECT_FLOOR)
+        ak = reflect_spectrum(self.ak)
         return psd_factor(solve_lyapunov_dense(ak, self.bk @ self.bk.T))
 
 
@@ -337,7 +332,7 @@ def _sweep(cfg, bases, solve, rom, on_iteration):
         if on_iteration is not None:
             on_iteration(ladder.history[-1], *(basis.v for basis in bases), *new)
         vr, wr = square_root_pair(zp, zq, svd, ladder.r)
-        ar = reflect_spectrum(wr.T @ wav @ vr, floor=REFLECT_FLOOR)
+        ar = reflect_spectrum(wr.T @ wav @ vr)
         br, cr = wr.T @ wtb, cv @ vr
         if ladder.done(svd[1]):
             return ladder, ((ar, br, cr), (vr, wr), svd[1])

@@ -245,24 +245,18 @@ class DenseOperator(LinearOperator):
 
     def shifted_solve(self, s, b):
         """Solve ``(A - s I) x = b`` by LAPACK LU, ``getrf`` then ``getrs``
-        (on several threads OpenBLAS's ``gesv`` rounds differently); a 1x1
-        operator divides."""
+        (on several threads OpenBLAS's ``gesv`` rounds differently)."""
         s = complex(s)
         b = np.asarray(b)
         real = s.imag == 0.0 and not np.iscomplexobj(b)
         shift = s.real if real else s
         a = self._m - shift * np.eye(self.n, dtype=float if real else complex)
-        if self.n == 1:
-            if a[0, 0] == 0:
-                raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
-            x = b / a[0, 0]
-        else:
-            getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (a, b))
-            lu, piv, info = getrf(a, overwrite_a=True)
-            if info == 0:
-                x, info = getrs(lu, piv, b)
-            if info != 0:
-                raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
+        getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (a, b))
+        lu, piv, info = getrf(a, overwrite_a=True)
+        if info == 0:
+            x, info = getrs(lu, piv, b)
+        if info != 0:
+            raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
         return _check_solution_finite(x)
 
     def transpose(self):
@@ -347,17 +341,12 @@ class TridiagonalOperator(LinearOperator):
         rhs = np.array(b[:, None] if vec else b, dtype=dtype, order="F")
         # a fresh array already, which gtsv may overwrite
         d = (self._d - (s.real if real else s)).astype(dtype, copy=False)
-        if self.n == 1:
-            if d[0] == 0:
-                raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
-            rhs /= d[0]
-        else:
-            # the off-diagonal casts are copies, no arithmetic to flush; made
-            # in the call, they are freed before the finiteness check
-            with _flush_subnormal_results():
-                info = _gtsv(self._lo.astype(dtype), d, self._up.astype(dtype), rhs)
-            if info != 0:
-                raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
+        # the off-diagonal casts are copies, no arithmetic to flush; made in
+        # the call, they are freed before the finiteness check
+        with _flush_subnormal_results():
+            info = _gtsv(self._lo.astype(dtype), d, self._up.astype(dtype), rhs)
+        if info != 0:
+            raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
         _check_solution_finite(rhs)
         return rhs[:, 0] if vec else rhs
 
@@ -370,8 +359,6 @@ class TridiagonalOperator(LinearOperator):
         products are positive and block triangular where they vanish. The
         spectrum is therefore real, and its top costs O(n).
         """
-        if self.n == 1:
-            return float(self._d[0])
         prod = self._lo * self._up
         if not (np.all(prod >= 0.0) and np.all(np.isfinite(prod))):
             return None
@@ -387,10 +374,7 @@ class TridiagonalOperator(LinearOperator):
         if self.n > 20_000:
             raise DenseInfeasibleError(
                 f"refusing to densify a {self.n}x{self.n} tridiagonal operator")
-        a = np.diag(self._d)
-        if self.n > 1:
-            a += np.diag(self._lo, -1) + np.diag(self._up, 1)
-        return a
+        return np.diag(self._d) + np.diag(self._lo, -1) + np.diag(self._up, 1)
 
 
 def _panels(n):
@@ -621,8 +605,6 @@ def solve_sylvester_skinny(a, m, f):
     r = m.shape[0]
     if f.shape != (op.n, r):
         raise ValueError(f"F must be ({op.n}, {r}), got {f.shape}")
-    if r == 0:
-        return np.zeros((op.n, 0))
 
     t, u = sla.schur(m, output="real")
     # each block's right-hand side is updated in place, then overwritten by

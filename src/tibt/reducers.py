@@ -46,8 +46,10 @@ __all__ = [
 # Trailing singular values below this fraction of the largest are excluded
 # from the S^(-1/2) scaling in square-root truncations.
 SCALE_CLIP_RTOL = 1e-14
-# Largest condition number of W^T V that a projection accepts.
+# Largest condition number of W^T V in a projection and of X in a reflection.
 BIORTH_COND_CAP = 1e12
+# Margin of a reflected eigenvalue inside the left half-plane.
+REFLECT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -306,29 +308,26 @@ def solve_coupling_pair(model: StateSpaceModel, rom: StateSpaceModel):
         lambda: solve_sylvester_skinny(model.A.transpose(), ar.T, model.C.T @ rom.C))
 
 
-def reflect_spectrum(ar, floor):
-    """Flip eigenvalues with Re >= -1e-12 into the open left half-plane.
+def reflect_spectrum(ar):
+    """Flip eigenvalues with Re >= -1e-12 to Re = -|Re| - ``REFLECT_FLOOR``
+    through the eigendecomposition ``X diag(lambda) X^-1``; return ``ar``
+    itself when it is already safely Hurwitz.
 
-    Returns ``ar`` unchanged when already safely Hurwitz. Reconstruction
-    goes through the eigendecomposition, so a defective unstable matrix
-    raises :class:`InterimUnstableError`.
+    Raises
+    ------
+    InterimUnstableError
+        If a flip is due and ``cond(X) > BIORTH_COND_CAP``, as when defective.
     """
     lam, x = np.linalg.eig(ar)
     bad = lam.real >= -1e-12
     if not np.any(bad):
         return ar
-    lam = lam.astype(complex)
-    x = x.astype(complex)
-    lam[bad] = -np.abs(lam[bad].real) - floor + 1j * lam[bad].imag
-    try:
-        fixed = (x * lam) @ np.linalg.inv(x)
-    except np.linalg.LinAlgError as exc:
+    if not np.linalg.cond(x) <= BIORTH_COND_CAP:
         raise InterimUnstableError(
-            "interim reduced matrix is defective; cannot reflect") from exc
-    if not np.all(np.isfinite(fixed)):
-        raise InterimUnstableError(
-            "interim reduced matrix too ill-conditioned to reflect")
-    return fixed.real
+            "interim reduced matrix is defective or too ill-conditioned to reflect")
+    lam, x = lam.astype(complex), x.astype(complex)
+    lam[bad] = -np.abs(lam[bad].real) - REFLECT_FLOOR + 1j * lam[bad].imag
+    return ((x * lam) @ np.linalg.inv(x)).real
 
 
 def _pole_change(new, old):
@@ -346,14 +345,19 @@ def tsia(model: StateSpaceModel, init, max_iter=200, conv_tol=1e-8) -> ReducedMo
     """Two-sided Sylvester iteration toward the H2-optimality conditions.
 
     Starting from ``init`` (a :class:`ReducedModel` or a bare
-    :class:`StateSpaceModel` of order r), each sweep reflects ROM poles with
-    Re >= 0, then interpolates ``model`` at their mirror images along the
-    ROM's residual directions: the bases are the coupling pair of ``model``
-    and the reflected ROM (:func:`solve_coupling_pair`), projected as in
+    :class:`StateSpaceModel` of order r), each sweep reflects the ROM
+    (:func:`reflect_spectrum`) and interpolates ``model`` at the mirror
+    images of its poles along its residual directions: the bases are the
+    coupling pair of ``model`` and the reflected ROM, projected as in
     :func:`tangential_interpolate`, so the order drops to the smaller rank
     of the two. Iteration stops when the chordal change of the sorted ROM
     poles drops below ``conv_tol``. On ``max_iter`` exhaustion the best
     iterate seen is returned with ``converged=False``.
+
+    Raises
+    ------
+    SingularProjectionError
+        If a sweep's ``W^T V`` is numerically singular; no iterate is returned.
     """
     require_hurwitz(model)
     rom = init.rom if isinstance(init, ReducedModel) else init
@@ -362,7 +366,7 @@ def tsia(model: StateSpaceModel, init, max_iter=200, conv_tol=1e-8) -> ReducedMo
     best = None
     best_change = np.inf
     for it in range(1, max_iter + 1):
-        ar = reflect_spectrum(rom.A.to_dense(), floor=0.0)
+        ar = reflect_spectrum(rom.A.to_dense())
         red = _interpolant(
             model, *solve_coupling_pair(model, StateSpaceModel(ar, rom.B, rom.C)))
         rom = red.rom

@@ -341,8 +341,8 @@ class TestSweep:
         reflect, factor = tibt.alrs.reflect_spectrum, tibt.alrs._Basis.gramian_factor
         projected, unchanged = [], []
 
-        def spy_reflect(a, floor):
-            out = reflect(a, floor)
+        def spy_reflect(a):
+            out = reflect(a)
             if any(a is p for p in projected):
                 unchanged.append(out is a)
             return out

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
-from conftest import TEST_POINTS, transfer_mismatch
+from conftest import TEST_POINTS, damped_chain, transfer_mismatch
 
 import tibt
-from tibt.errors import NonHurwitzError, SingularProjectionError, SingularValueTieError
+from tibt.errors import (
+    InterimUnstableError,
+    NonHurwitzError,
+    SingularProjectionError,
+    SingularValueTieError,
+)
 from tibt.linalg import ordered_svd, solve_lyapunov_dense, solve_sylvester_skinny
 from tibt.reducers import (
+    REFLECT_FLOOR,
     SCALE_CLIP_RTOL,
     bt_from_factors,
     h2_optimality_residuals,
     project,
+    reflect_spectrum,
     solve_coupling_pair,
     square_root_pair,
 )
@@ -341,6 +348,29 @@ class TestTsia:
                         conv_tol=1e-14)
         assert red.converged is False
         assert red.iterations == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_breakdown_raises(self, seed):
+        # a mid-run W^T V goes numerically singular; no iterate is returned
+        with pytest.raises(SingularProjectionError, match="W\\^T V is numerically singular"):
+            tibt.tsia(damped_chain(), tibt.random_stable(8, 1, 1, seed))
+
+
+class TestReflectSpectrum:
+    def test_safely_hurwitz_returned_itself(self):
+        ar = np.array([[-2e-12, 1.0], [0.0, -3.0]])
+        assert reflect_spectrum(ar) is ar
+
+    def test_unstable_pair_mirrored(self):
+        lam = np.linalg.eigvals(reflect_spectrum(np.array([[2.0, 5.0], [-5.0, 2.0]])))
+        want = -2.0 - REFLECT_FLOOR + np.array([-5j, 5j])
+        assert np.allclose(np.sort_complex(lam), want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("ar", [[[1.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]],
+                             ids=["jordan-1", "nilpotent"])
+    def test_defective_raises(self, ar):
+        with pytest.raises(InterimUnstableError, match="defective"):
+            reflect_spectrum(np.array(ar))
 
 
 class TestTwoStepLowRankBt:

@@ -5,7 +5,9 @@ for bitwise comparisons.
 
 Runs ``alrs_lyap`` and ``atia_bt`` over a fixed matrix of models, tolerances
 and seeds and prints one line per run: its label, the SHA-256 of its ladder
-history (every ``IterationRecord``) and the SHA-256 of every result array.
+history (every ``IterationRecord``) and the SHA-256 of every result array;
+for a reduced model that includes its transfer function at ``EVAL_POINTS``
+(``eval_transfer``), so a change to the shifted solves shows too.
 When the run raises, both are the SHA-256 of the exception text. The matrix
 is ``heat_rod`` (n = 400, 1000, 2000, 10^4) and ``random_stable(n, 2, 2, 5)``
 (n = 80, 150, 300) at tol 1e-4, 1e-5, 1e-6 and seeds 0 and 3 (84 runs), then
@@ -49,6 +51,8 @@ from conftest import block_family, damped_chain, light_chain  # noqa: E402
 
 TOLS = (1e-4, 1e-5, 1e-6)
 SEEDS = (0, 3)
+# where a reduced model's transfer function is hashed too
+EVAL_POINTS = (0.37j, 1.3j, 4.1j, 11j)
 
 
 def _models():
@@ -113,6 +117,8 @@ def _feed_reduced(h, red):
     for arr in (red.rom.A.to_dense(), red.rom.B, red.rom.C, red.Vr, red.Wr,
                 red.retained_sv, red.converged):
         _feed(h, arr)
+    for s in EVAL_POINTS:
+        _feed(h, tibt.eval_transfer(red.rom, s))
 
 
 def _alrs(model, cfg, hist, result):
