@@ -264,16 +264,16 @@ class _Basis:
         """Absorb the directions of ``new`` not yet in the span of ``V``,
         bordering ``V^T A V`` with the two off-diagonal blocks and the new
         diagonal block. The new columns are formed in place in the spare
-        columns of the ``V`` buffer."""
+        columns of the ``V`` buffer, and their product with ``A`` in the
+        spare columns of the ``A V`` buffer."""
         k, j = self.k, new.shape[1]
         self._v = _reserve(self._v, k, j)
         self._av = _reserve(self._av, k, j)
         v, av = self._v[:, :k], self._av[:, :k]
         q = extend_orthonormal(v, new, out=self._v[:, k:k + j])
-        aq = self._apply(q)
+        aq = self._apply(q, out=self._av[:, k:k + q.shape[1]])
         self.ak = np.block([[self.ak, v.T @ aq], [q.T @ av, q.T @ aq]])
         self.bk = np.vstack([self.bk, q.T @ self.b])
-        self._av[:, k:k + q.shape[1]] = aq
         self.k += q.shape[1]
 
     def gramian_factor(self):
@@ -339,6 +339,7 @@ def _sweep(cfg, bases, solve, rom, on_iteration):
         if stage_done:  # the next stage starts from the latest directions
             for basis, directions in zip(bases, new):
                 basis.restart(directions)
+        new = directions = None  # freed before the next solve forms its own
 
 
 def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
@@ -350,7 +351,10 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
     run stops once the r-th retained estimate falls below ``tol`` times the
     largest, or flags ``converged=False`` when ``k_max`` is exhausted. The
     factor is the last sweep's square-root truncation, with core
-    ``diag(values)``: the Gramian of the truncated projection.
+    ``diag(values)``: the Gramian of the truncated projection. The run's
+    basis buffers are freed once the factor and ``A`` times it are formed,
+    before the residual makes its own n-row arrays, so the result is the
+    only n-row data the run leaves behind.
 
     ``on_iteration``, when given, is called once per sweep with
     ``(record, basis, new_directions)`` for diagnostics; it must not mutate
@@ -373,7 +377,7 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
     start = random_stable(cfg.r0, max(m, 1), 1, cfg.seed)
     basis = _Basis(op.apply, b)
     ladder, last = _sweep(
-        cfg, (basis,), lambda ar, br, cr: (solve_sylvester_skinny(op, ar, b @ br.T),),
+        cfg, (basis,), lambda ar, br, cr: (solve_sylvester_skinny(op, ar, b, br.T),),
         (start.A.to_dense(), start.B[:, :m], start.C), on_iteration)
     if last is None:  # zero right-hand side: nothing to capture
         ladder.converged = True
@@ -383,7 +387,11 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
         s = sv[:small.shape[1]]
     # a balanced truncation's Gramian is diag of its retained values
     factor = LowRankGramian(basis=basis.v @ small, core=np.diag(s))
-    # A V C from the A V the basis already holds
-    residual = _factored_residual(factor.basis, basis.av @ (small * s), b)
+    # each n-row buffer is freed after its last read, before the residual
+    # makes its own n-row arrays
+    basis._v = None
+    u1 = basis.av @ (small * s)  # A V C from the A V the basis already holds
+    basis._av = None
+    residual = _factored_residual(factor.basis, u1, b)
     return AlrsResult(factor=factor, singular_history=ladder.history,
                       converged=ladder.converged, residual=residual)

@@ -34,6 +34,12 @@ tridiagonal ``gtsv`` goes through a ctypes binding of scipy's
 ``cython_lapack`` (``dtrsyl``, ``dgtsv``, ``zgtsv``), which releases it
 for the call. Each half reads only its own inputs, so the results do not
 depend on how the two threads are scheduled.
+
+Memory. The kernels on n-row data keep each n-row array they make only as
+long as they read it. :func:`solve_sylvester_skinny` takes its right-hand
+side by its two factors, forms it, and frees it after carrying it into the
+Schur basis, and an operator's ``apply``/``apply_transpose`` write into
+``out`` when given, such as the spare columns of a basis buffer.
 """
 
 from __future__ import annotations
@@ -186,12 +192,17 @@ class LinearOperator(ABC):
         """Dimension of the (square) operator."""
 
     @abstractmethod
-    def apply(self, x):
-        """Return ``A @ x`` for a vector or (n, k) block ``x``."""
+    def apply(self, x, out=None):
+        """Return ``A @ x`` for a vector or (n, k) block ``x``.
+
+        ``out``, when given, is an array of the product's shape that
+        receives the product, such as the spare columns of a basis buffer.
+        The returned array holds the same values, but need not be ``out``.
+        """
 
     @abstractmethod
-    def apply_transpose(self, x):
-        """Return ``A.T @ x``."""
+    def apply_transpose(self, x, out=None):
+        """Return ``A.T @ x``; ``out`` as in :meth:`apply`."""
 
     @abstractmethod
     def shifted_solve(self, s, b):
@@ -211,6 +222,16 @@ class LinearOperator(ABC):
     @abstractmethod
     def to_dense(self) -> np.ndarray:
         """Materialize the operator as a dense array."""
+
+
+def _copy_into(y, out):
+    """``y``, after copying it into ``out`` when given. ``y`` keeps the
+    layout that its products with other arrays round in."""
+    if out is not None:
+        if out.shape != y.shape:
+            raise ValueError(f"out must have shape {y.shape}, got {out.shape}")
+        out[...] = y
+    return y
 
 
 def _check_solution_finite(x):
@@ -237,11 +258,11 @@ class DenseOperator(LinearOperator):
     def n(self):
         return self._m.shape[0]
 
-    def apply(self, x):
-        return self._m @ x
+    def apply(self, x, out=None):
+        return _copy_into(self._m @ x, out)
 
-    def apply_transpose(self, x):
-        return self._m.T @ x
+    def apply_transpose(self, x, out=None):
+        return _copy_into(self._m.T @ x, out)
 
     def shifted_solve(self, s, b):
         """Solve ``(A - s I) x = b`` by LAPACK LU, ``getrf`` then ``getrs``
@@ -289,16 +310,22 @@ class TridiagonalOperator(LinearOperator):
     def n(self):
         return self._d.shape[0]
 
-    def _matvec(self, lo, d, up, x):
+    def _matvec(self, lo, d, up, x, out):
         # y = d x, then y[:-1] += up x[1:], then y[1:] += lo x[:-1], run
         # panel by panel through one temporary: every entry sees the same
         # operations in the same order as the whole-array form, and each
-        # panel stays in cache between them
+        # panel stays in cache between them. y is out when given, else it
+        # takes x's layout; the temporary takes y's
+        if out is not None and out.shape != x.shape:
+            raise ValueError(f"out must have shape {x.shape}, got {out.shape}")
         vec = x.ndim == 1
         if vec:
             x = x[:, None]
         n = self.n
-        y = np.empty_like(x, dtype=np.result_type(d, x))
+        if out is None:
+            y = np.empty_like(x, dtype=np.result_type(d, x))
+        else:
+            y = out[:, None] if vec else out
         tmp = np.empty_like(y[:PANEL_ROWS])
         for rows in _panels(n):
             start, stop = rows.start, rows.stop
@@ -314,11 +341,11 @@ class TridiagonalOperator(LinearOperator):
                                                 x[low - 1:stop - 1], out=tmp[:stop - low])
         return y[:, 0] if vec else y
 
-    def apply(self, x):
-        return self._matvec(self._lo, self._d, self._up, np.asarray(x))
+    def apply(self, x, out=None):
+        return self._matvec(self._lo, self._d, self._up, np.asarray(x), out)
 
-    def apply_transpose(self, x):
-        return self._matvec(self._up, self._d, self._lo, np.asarray(x))
+    def apply_transpose(self, x, out=None):
+        return self._matvec(self._up, self._d, self._lo, np.asarray(x), out)
 
     def shifted_solve(self, s, b):
         """Solve ``(A - s I) x = b`` by LAPACK ``gtsv`` in O(n), without the
@@ -560,12 +587,12 @@ def _gtsv(dl, d, du, b):
     return info.value
 
 
-def _complex_pair_solve(op, tblock, rhs):
-    # Solve A Y + Y T_b^T = -rhs for a standardized 2x2 Schur block T_b with a
-    # complex-conjugate eigenvalue pair, using one complex shifted solve.
+def _complex_pair_solve(op, tblock, lam, rhs):
+    # Solve A Y + Y T_b^T = -rhs for a standardized 2x2 Schur block T_b with
+    # the complex-conjugate eigenvalue pair lam, conj(lam), using one complex
+    # shifted solve.
     t11, t12 = tblock[0]
     t21, t22 = tblock[1]
-    lam = t11 + 1j * np.sqrt(-(t12 * t21))
     if abs(t21) >= abs(t12):
         v = np.array([t21, lam - t11], dtype=complex)
     else:
@@ -580,36 +607,45 @@ def _complex_pair_solve(op, tblock, rhs):
     return np.column_stack([y1, y2])
 
 
-def solve_sylvester_skinny(a, m, f):
-    """Solve the skinny-tall Sylvester equation ``A X + X M^T + F = 0``.
+def solve_sylvester_skinny(a, m, g, h):
+    """Solve the skinny-tall Sylvester equation ``A X + X M^T + F = 0`` for
+    ``F = G H``.
 
     ``A`` is an operator of dimension n (dense array accepted), ``M`` is a
-    small r-by-r dense matrix and ``F`` is n-by-r. ``M`` is reduced to real
-    Schur form and the columns of ``X`` are obtained by back-substitution,
-    each requiring one shifted solve with ``A`` (a single complex solve per
-    2x2 block keeps the result exactly real).
+    small r-by-r dense matrix, and ``F`` is given by its factors: ``G`` is
+    n-by-m and ``H`` is m-by-r. ``F`` is formed inside and freed once it
+    has been carried into the Schur basis of ``M``, so the solve holds at
+    most two n-by-r arrays at once. ``M`` is reduced to real Schur form and
+    the columns of ``X`` are obtained by back-substitution, each requiring
+    one shifted solve with ``A`` (a single complex solve per 2x2 block
+    keeps the result exactly real).
 
     Raises
     ------
     SpectrumOverlapError
-        If some shifted system ``A + m_ii I`` is singular, i.e. the spectra
-        of ``A`` and ``-M`` intersect.
+        If some shifted system ``A + lambda I`` is singular, i.e. the
+        spectra of ``A`` and ``-M`` meet; the message names the eigenvalue
+        ``-lambda`` of ``-M`` (complex for a 2x2 block).
     ShiftSolveFailure
         Propagated from the operator for non-spectral solve failures.
     """
     op = as_operator(a)
     m = np.asarray(m, dtype=float)
-    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    h = np.asarray(h, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"M must be square, got shape {m.shape}")
     r = m.shape[0]
-    if f.shape != (op.n, r):
-        raise ValueError(f"F must be ({op.n}, {r}), got {f.shape}")
+    if g.ndim != 2 or g.shape[0] != op.n or h.shape != (g.shape[1], r):
+        raise ValueError(f"G and H must be ({op.n}, m) and (m, {r}), "
+                         f"got {g.shape} and {h.shape}")
 
     t, u = sla.schur(m, output="real")
+    f = g @ h
     # each block's right-hand side is updated in place, then overwritten by
     # its solution
     y = f @ u
+    del f  # freed before the shifted solves make their own n-row arrays
     j = r - 1
     while j >= 0:
         pair = j > 0 and t[j, j - 1] != 0.0
@@ -618,14 +654,18 @@ def solve_sylvester_skinny(a, m, f):
         rhs = y[:, jb:jb + ncols]
         if jb + ncols < r:
             rhs += y[:, jb + ncols:] @ t[jb:jb + ncols, jb + ncols:].T
+        lam = t[jb, jb]  # the block's eigenvalue, the upper one of a pair
+        if pair:
+            lam = lam + 1j * np.sqrt(-(t[jb, jb + 1] * t[jb + 1, jb]))
         try:
             if pair:
-                y[:, jb:jb + 2] = _complex_pair_solve(op, t[jb:jb + 2, jb:jb + 2], rhs)
+                y[:, jb:jb + 2] = _complex_pair_solve(op, t[jb:jb + 2, jb:jb + 2], lam, rhs)
             else:
-                y[:, jb] = op.shifted_solve(-t[jb, jb], -rhs[:, 0])
+                y[:, jb] = op.shifted_solve(-lam, -rhs[:, 0])
         except ShiftSolveFailure as exc:
+            # + 0 turns a -0 part into 0
             raise SpectrumOverlapError(
-                f"spectrum of A meets eigenvalue {-t[jb, jb]:.6g} of -M") from exc
+                f"spectrum of A meets eigenvalue {-lam + 0:.6g} of -M") from exc
         j = jb - 1
     return y @ u.T
 

@@ -285,8 +285,8 @@ def tangential_interpolate(model: StateSpaceModel,
     the left points (Hermite conditions where the point sets coincide).
     """
     return _interpolant(
-        model, solve_sylvester_skinny(model.A, -data.Sb.T, model.B @ data.Lb),
-        solve_sylvester_skinny(model.A.transpose(), -data.Sc.T, model.C.T @ data.Lc))
+        model, solve_sylvester_skinny(model.A, -data.Sb.T, model.B, data.Lb),
+        solve_sylvester_skinny(model.A.transpose(), -data.Sc.T, model.C.T, data.Lc))
 
 
 def _interpolant(model, v, w):
@@ -304,8 +304,8 @@ def solve_coupling_pair(model: StateSpaceModel, rom: StateSpaceModel):
     thread (see :mod:`tibt.linalg`)."""
     ar = rom.A.to_dense()
     return _on_two_threads(
-        lambda: solve_sylvester_skinny(model.A, ar, model.B @ rom.B.T),
-        lambda: solve_sylvester_skinny(model.A.transpose(), ar.T, model.C.T @ rom.C))
+        lambda: solve_sylvester_skinny(model.A, ar, model.B, rom.B.T),
+        lambda: solve_sylvester_skinny(model.A.transpose(), ar.T, model.C.T, rom.C))
 
 
 def reflect_spectrum(ar):

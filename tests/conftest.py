@@ -92,13 +92,13 @@ class CountingOperator(tibt.LinearOperator):
     def n(self):
         return self.inner.n
 
-    def apply(self, x):
+    def apply(self, x, out=None):
         self._count(x)
-        return self.inner.apply(x)
+        return self.inner.apply(x, out)
 
-    def apply_transpose(self, x):
+    def apply_transpose(self, x, out=None):
         self._count(x)
-        return self.inner.apply_transpose(x)
+        return self.inner.apply_transpose(x, out)
 
     def shifted_solve(self, s, b):
         return self.inner.shifted_solve(s, b)

@@ -187,7 +187,7 @@ def test_criterion_8_oracle_suites():
         gm = rng.standard_normal((r, r))
         msmall = gm - (np.linalg.norm(gm, 2) + 1.0) * np.eye(r)
         f = rng.standard_normal((n, r))
-        x = solve_sylvester_skinny(a, msmall, f)
+        x = solve_sylvester_skinny(a, msmall, f, np.eye(r))
         expected = kron_sylvester(a, msmall, f)
         assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 

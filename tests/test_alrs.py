@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,22 @@ class TestAlrsLyap:
         bound = math.ceil(math.log2(max(width for _, width in calls))) + 1
         for buffer_calls in (calls[0::2], calls[1::2]):  # V, then A V
             assert sum(grew for grew, _ in buffer_calls) <= bound
+
+    def test_peak_memory_of_a_run(self):
+        # criterion-9 config: each n-row array lives only until its last use,
+        # so a run's numpy allocations peak below 96 n-vectors (114.6 when
+        # the caller kept F and the basis buffers outlived their last read)
+        n = 200_000
+        m = tibt.heat_rod(n)
+        cfg = AlrsConfig(r0=2, dr=2, tol=1e-4, i_max=3, k_max=21, seed=0)
+        tracemalloc.start()
+        try:
+            res = tibt.alrs_lyap(m.A, m.B, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak <= 96 * 8 * n, f"peak {peak / (8 * n):.1f} n-vectors"
 
     def test_basis_is_orthonormal_and_core_psd(self):
         m = tibt.heat_rod(300)

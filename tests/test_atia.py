@@ -299,10 +299,10 @@ class TestTwoThreadSweep:
     def test_w_side_failure_raised_in_the_caller(self, monkeypatch):
         solve = tibt.reducers.solve_sylvester_skinny
 
-        def failing_off_the_caller(a, m, f):
+        def failing_off_the_caller(a, m, g, h):
             if threading.current_thread() is not threading.main_thread():
                 raise SpectrumOverlapError("W side failed")
-            return solve(a, m, f)
+            return solve(a, m, g, h)
 
         monkeypatch.setattr(tibt.reducers, "solve_sylvester_skinny", failing_off_the_caller)
         before = threading.active_count()

@@ -353,20 +353,20 @@ class TestRealSchurStandardized:
 class TestSolveSylvesterSkinny:
     def test_scalar(self):
         x = solve_sylvester_skinny(np.array([[-2.0]]), np.array([[-3.0]]),
-                                   np.array([[10.0]]))
+                                   np.array([[10.0]]), np.array([[1.0]]))
         assert np.allclose(x, [[2.0]])
 
     @pytest.mark.parametrize("a", [np.diag([-1.0, -2.0, -3.0]), heat_rod(3).A],
                              ids=["dense", "tridiagonal"])
     def test_zero_columns(self, a):
-        x = solve_sylvester_skinny(a, np.zeros((0, 0)), np.zeros((3, 0)))
+        x = solve_sylvester_skinny(a, np.zeros((0, 0)), np.zeros((3, 1)), np.zeros((1, 0)))
         assert x.shape == (3, 0)
 
     def test_diagonal_decoupling(self):
         a = np.diag([-1.0, -4.0, -9.0])
         m = np.diag([-2.0, -5.0])
         f = np.arange(1.0, 7.0).reshape(3, 2)
-        x = solve_sylvester_skinny(a, m, f)
+        x = solve_sylvester_skinny(a, m, f, np.eye(2))
         ai = np.array([-1.0, -4.0, -9.0])
         mj = np.array([-2.0, -5.0])
         assert np.allclose(x, -f / (ai[:, None] + mj[None, :]))
@@ -376,7 +376,7 @@ class TestSolveSylvesterSkinny:
         a = random_hurwitz(20, 70)
         m = random_hurwitz(4, 71)
         f = rng.standard_normal((20, 4))
-        x = solve_sylvester_skinny(a, m, f)
+        x = solve_sylvester_skinny(a, m, f, np.eye(4))
         expected = kron_sylvester(a, m, f)
         assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
@@ -388,7 +388,7 @@ class TestSolveSylvesterSkinny:
             a = random_hurwitz(n, 4000 + seed)
             m = random_hurwitz(r, 5000 + seed)
             f = rng.standard_normal((n, r))
-            x = solve_sylvester_skinny(a, m, f)
+            x = solve_sylvester_skinny(a, m, f, np.eye(r))
             expected = kron_sylvester(a, m, f)
             assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
@@ -398,7 +398,7 @@ class TestSolveSylvesterSkinny:
         a = random_hurwitz(15, 80)
         m = np.array([[-1.0, 2.0, 0.3], [-2.0, -1.0, 0.1], [0.0, 0.0, -3.0]])
         f = rng.standard_normal((15, 3))
-        x = solve_sylvester_skinny(a, m, f)
+        x = solve_sylvester_skinny(a, m, f, np.eye(3))
         assert not np.iscomplexobj(x)
         resid = np.linalg.norm(a @ x + x @ m.T + f)
         assert resid <= 1e-8 * max(1.0, np.linalg.norm(f))
@@ -410,16 +410,38 @@ class TestSolveSylvesterSkinny:
         op = TridiagonalOperator(off, diag, off)
         m = random_hurwitz(3, 90)
         f = rng.standard_normal((25, 3))
-        x_op = solve_sylvester_skinny(op, m, f)
-        x_dense = solve_sylvester_skinny(op.to_dense(), m, f)
+        x_op = solve_sylvester_skinny(op, m, f, np.eye(3))
+        x_dense = solve_sylvester_skinny(op.to_dense(), m, f, np.eye(3))
         assert np.allclose(x_op, x_dense, rtol=0, atol=1e-12 * np.linalg.norm(x_dense))
 
     def test_spectrum_overlap_rejected(self):
         a = np.diag([-1.0, -2.0])
         m = np.diag([1.0, -5.0])  # eigenvalue +1 of M collides with -1 of A
-        f = np.ones((2, 2))
-        with pytest.raises(SpectrumOverlapError):
-            solve_sylvester_skinny(a, m, f)
+        with pytest.raises(SpectrumOverlapError, match="eigenvalue -1 of -M"):
+            solve_sylvester_skinny(a, m, np.ones((2, 1)), np.ones((1, 2)))
+
+    def test_complex_overlap_names_the_shifted_eigenvalue(self):
+        # -M has eigenvalues +-1j, as A has; the pair is solved at the shift
+        # of one of them, which the message names in full, not its real part
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        m = np.array([[0.0, 2.0], [-0.5, 0.0]])
+        with pytest.raises(SpectrumOverlapError, match=r"eigenvalue 0-1j of -M$"):
+            solve_sylvester_skinny(a, m, np.ones((2, 1)), np.ones((1, 2)))
+
+    def test_f_is_the_product_of_its_factors(self):
+        rng = np.random.default_rng(10)
+        op = heat_rod(30).A
+        m = np.array([[-1.0, 2.0, 0.3], [-2.0, -1.0, 0.1], [0.0, 0.0, -3.0]])
+        g, h = rng.standard_normal((30, 2)), rng.standard_normal((2, 3))
+        assert np.array_equal(solve_sylvester_skinny(op, m, g, h),
+                              solve_sylvester_skinny(op, m, g @ h, np.eye(3)))
+
+    @pytest.mark.parametrize("g_shape, h_shape", [((4, 2), (3, 3)), ((5, 2), (2, 3)),
+                                                  ((4, 2), (2, 2)), ((4,), (1, 3))])
+    def test_mismatched_factors_rejected(self, g_shape, h_shape):
+        m = np.diag([-1.0, -2.0, -3.0])
+        with pytest.raises(ValueError, match="G and H must be"):
+            solve_sylvester_skinny(heat_rod(4).A, m, np.ones(g_shape), np.ones(h_shape))
 
 
 class TestOrthonormalize:
@@ -706,6 +728,27 @@ class TestTridiagonalBitIdentity:
             assert got.flags.f_contiguous == want.flags.f_contiguous
             assert np.array_equal(op.apply_transpose(x), three_term(upper, diag, lower, x))
 
+    @pytest.mark.parametrize("n", [1, 9, 2 * PANEL_ROWS + 3])
+    def test_apply_into_out_is_bitwise(self, n):
+        # out may be the spare columns of a Fortran-ordered basis buffer; the
+        # product is written there and returned as that very array
+        rng = np.random.default_rng(93)
+        op = TridiagonalOperator(rng.standard_normal(n - 1), rng.standard_normal(n),
+                                 rng.standard_normal(n - 1))
+        buf = np.full((n, 7), np.nan, order="F")
+        x = np.asfortranarray(rng.standard_normal((n, 3)))
+        for method in ("apply", "apply_transpose"):
+            out = buf[:, 2:5]
+            got = getattr(op, method)(x, out=out)
+            assert got is out
+            assert np.array_equal(out, getattr(op, method)(x))
+            assert np.isnan(buf[:, :2]).all() and np.isnan(buf[:, 5:]).all()
+        vec = np.empty(n)
+        assert np.array_equal(op.apply(x[:, 0], out=vec), op.apply(x[:, 0]))
+        assert np.array_equal(vec, op.apply(x[:, 0]))
+        with pytest.raises(ValueError, match="out must have shape"):
+            op.apply(x, out=buf)
+
     @pytest.mark.parametrize("s", [0.3, -1.7, 0.5 + 2.0j])
     @pytest.mark.parametrize("shape", [(40,), (40, 3)])
     def test_shifted_solve_matches_gtsv(self, s, shape):
@@ -836,6 +879,23 @@ class TestOperators:
         a[0, 0] = -1.5  # A + 1.5 I has a zero first column
         with pytest.raises(ShiftSolveFailure, match="singular"):
             DenseOperator(a).shifted_solve(-1.5, np.ones(n))
+
+    def test_dense_apply_into_out(self):
+        # out receives a copy; the C-ordered product itself is returned, so
+        # products with it round as they do without out
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((30, 30))
+        op = DenseOperator(a)
+        buf = np.full((30, 6), np.nan, order="F")
+        x = np.asfortranarray(rng.standard_normal((30, 3)))
+        for method, want in (("apply", a @ x), ("apply_transpose", a.T @ x)):
+            out = buf[:, 1:4]
+            got = getattr(op, method)(x, out=out)
+            assert got is not out and got.flags.c_contiguous
+            assert np.array_equal(got, want) and np.array_equal(out, want)
+            assert np.isnan(buf[:, :1]).all() and np.isnan(buf[:, 4:]).all()
+        with pytest.raises(ValueError, match="out must have shape"):
+            op.apply(x[:, :1], out=buf[:, :3])
 
     def test_one_state_tridiagonal_solve(self):
         op = TridiagonalOperator([], [-4.0], [])

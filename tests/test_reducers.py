@@ -268,7 +268,7 @@ class TestTangentialInterpolate:
             from tibt.reducers import _well_scaled_basis
 
             v = _well_scaled_basis(
-                solve_sylvester_skinny(m.A, -data.Sb.T, m.B @ data.Lb))
+                solve_sylvester_skinny(m.A, -data.Sb.T, m.B, data.Lb))
             gal = project(m, v, v)
             p_r = solve_lyapunov_dense(gal.rom.A.to_dense(),
                                        gal.rom.B @ gal.rom.B.T)
