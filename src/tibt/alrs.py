@@ -9,8 +9,9 @@ interpolation data, so the basis (and the SVD cost) never grows past
 ``r * i_max`` columns.
 
 Both drivers run one sweep loop, :func:`_sweep`, over the bases of their
-sides: ``(V,)`` here and ``(V, W)`` in :mod:`tibt.atia`. It ranks through
-:class:`_RankLadder`, truncates through
+sides: ``(V,)`` here and ``(V, W)`` in :mod:`tibt.atia`, each of which
+solves its own Sylvester equation and absorbs the solution. It ranks
+through :class:`_RankLadder`, truncates through
 :func:`~tibt.reducers.square_root_pair`, and reflects each side's projected
 matrix and each ROM, where it forms it, into the left half-plane, so ``A``
 need not be dissipative and every ROM it interpolates at or returns is
@@ -194,13 +195,21 @@ def lowrank_lyapunov_residual(a, b, factor: LowRankGramian) -> float:
     """
     op = as_operator(a)
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    return _factored_residual(factor.basis, op.apply(factor.basis @ factor.core), b)
+    return _factored_residual(factor.basis, _beside(op.apply(factor.basis @ factor.core), b))
 
 
-def _factored_residual(v, u1, b):
-    """:func:`lowrank_lyapunov_residual` of ``V C V^T`` given ``U1 = A V C``."""
+def _beside(u1, b):
+    """``[U1, B]`` in one fresh Fortran-ordered array."""
+    out = np.empty((len(u1), u1.shape[1] + b.shape[1]), order="F")
+    return np.concatenate([u1, b], axis=1, out=out)
+
+
+def _factored_residual(v, x):
+    """:func:`lowrank_lyapunov_residual` of ``V C V^T`` given the
+    Fortran-ordered ``x = [A V C, B]``, which it projects in place."""
     k = v.shape[1]
-    c, _, rs = cgs2(v, np.hstack([u1, b]))
+    den = np.linalg.norm(x[:, k:], 2) ** 2
+    c, _, rs = cgs2(v, x, out=x)
     r2 = np.linalg.qr(rs, mode="r")
     cu, cb = c[:, :k], c[:, k:]
     r2u, r2b = r2[:, :k], r2[:, k:]
@@ -209,7 +218,6 @@ def _factored_residual(v, u1, b):
     rg = np.block([[cu, eye, cb], [r2u, zero, r2b]])
     rh = np.block([[eye, cu, cb], [zero, r2u, r2b]])
     num = np.linalg.norm(rg @ rh.T, 2)
-    den = np.linalg.norm(b, 2) ** 2
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return float(num / den)
@@ -228,17 +236,17 @@ def _reserve(buf, k, j):
 
 
 class _Basis:
-    """Orthonormal trial basis ``V`` of one stage, grown append-only, with
-    ``A V``, ``V^T A V`` and ``V^T B`` kept in step for the operator
-    product ``apply`` (``A`` or ``A^T``) and the n-by-m ``b``: adding j
-    columns to a k-column basis costs O(n k j), and ``apply`` sees the new
-    columns only. One instance serves a whole run: :meth:`restart` empties
-    it for the next stage but keeps the buffers of ``V`` and ``A V``, which
-    grow only when a stage outgrows every earlier one.
+    """Orthonormal trial basis ``V`` of one side, grown append-only, with
+    ``A V``, ``V^T A V`` and ``V^T B`` kept in step for the side's operator
+    ``op`` (``A``, or ``A^T`` for W) and n-by-m ``b`` (``B``, or ``C^T``):
+    adding j columns to a k-column basis costs O(n k j), and ``op`` sees the
+    new columns only. One instance serves a whole run: :meth:`restart`
+    empties it for the next stage but keeps the buffers of ``V`` and ``A V``,
+    which grow only when a stage outgrows every earlier one.
     """
 
-    def __init__(self, apply, b):
-        self._apply = apply
+    def __init__(self, op, b):
+        self.op = op
         self.b = b
         self._v = np.empty((b.shape[0], 0), order="F")
         self._av = np.empty((b.shape[0], 0), order="F")
@@ -271,10 +279,16 @@ class _Basis:
         self._av = _reserve(self._av, k, j)
         v, av = self._v[:, :k], self._av[:, :k]
         q = extend_orthonormal(v, new, out=self._v[:, k:k + j])
-        aq = self._apply(q, out=self._av[:, k:k + q.shape[1]])
+        aq = self.op.apply(q, out=self._av[:, k:k + q.shape[1]])
         self.ak = np.block([[self.ak, v.T @ aq], [q.T @ av, q.T @ aq]])
         self.bk = np.vstack([self.bk, q.T @ self.b])
         self.k += q.shape[1]
+
+    def grow(self, ar, br):
+        """Solve ``A X + X Ar^T + b Br^T = 0``, absorb ``X`` and return it."""
+        x = solve_sylvester_skinny(self.op, ar, self.b, br.T)
+        self.extend(x)
+        return x
 
     def gramian_factor(self):
         """Factor ``Z`` of the projected Gramian ``V Z Z^T V^T``, solved with
@@ -293,12 +307,12 @@ def _rebiorthogonalize(vb, wb, wv):
     wb.restart(wb.v @ uu[:, keep])
 
 
-def _sweep(cfg, bases, solve, rom, on_iteration):
+def _sweep(cfg, bases, rom, on_iteration):
     """The mirror-image fixed point over the bases of the sides, ``(V,)``
-    (Galerkin: W is V) or ``(V, W)``, from the stable ROM ``rom``;
-    ``solve(Ar, Br, Cr)`` gives each side's new directions, and the hook
-    gets ``(record, *bases, *new_directions)``. Each sweep forms one ROM
-    and reflects its ``Ar`` once; the next sweep interpolates at that ROM.
+    (Galerkin: W is V) or ``(V, W)``, from the stable ROM ``rom``; each
+    side's :meth:`_Basis.grow` gives its new directions, and the hook gets
+    ``(record, *bases, *new_directions)``. Each sweep forms one ROM and
+    reflects its ``Ar`` once; the next sweep interpolates at that ROM.
     Returns the ladder and, unless a basis came out empty, the last
     ``(Ar, Br, Cr)``, its pair ``(Vr, Wr)`` in basis coordinates and its
     ordered singular values."""
@@ -307,11 +321,10 @@ def _sweep(cfg, bases, solve, rom, on_iteration):
     one_sided = wb is vb
     ar, br, cr = rom
     while True:
-        new = solve(ar, br, cr)
         if one_sided:
-            vb.extend(new[0])
-        else:  # W is extended on a worker thread (see tibt.linalg)
-            _on_two_threads(lambda: vb.extend(new[0]), lambda: wb.extend(new[1]))
+            new = (vb.grow(ar, br),)
+        else:  # W is solved and extended on a worker thread (see tibt.linalg)
+            new = _on_two_threads(lambda: vb.grow(ar, br), lambda: wb.grow(ar.T, cr.T))
         if vb.k == 0 or wb.k == 0:
             return ladder, None
         if one_sided:  # the basis supplies W^T A V, W^T B and C V
@@ -375,10 +388,9 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
 
     # the seed's stable starting pair; C goes unused, an empty B stays empty
     start = random_stable(cfg.r0, max(m, 1), 1, cfg.seed)
-    basis = _Basis(op.apply, b)
-    ladder, last = _sweep(
-        cfg, (basis,), lambda ar, br, cr: (solve_sylvester_skinny(op, ar, b, br.T),),
-        (start.A.to_dense(), start.B[:, :m], start.C), on_iteration)
+    basis = _Basis(op, b)
+    rom = start.A.to_dense(), start.B[:, :m], start.C
+    ladder, last = _sweep(cfg, (basis,), rom, on_iteration)
     if last is None:  # zero right-hand side: nothing to capture
         ladder.converged = True
         small, s = np.zeros((0, 0)), np.zeros(0)
@@ -392,6 +404,8 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
     basis._v = None
     u1 = basis.av @ (small * s)  # A V C from the A V the basis already holds
     basis._av = None
-    residual = _factored_residual(factor.basis, u1, b)
+    x = _beside(u1, b)
+    del u1  # x is the residual's only copy of A V C
+    residual = _factored_residual(factor.basis, x)
     return AlrsResult(factor=factor, singular_history=ladder.history,
                       converged=ladder.converged, residual=residual)

@@ -11,10 +11,11 @@ included, is reflected into the left half-plane where it is formed.
 
 The sweep loop is the Lyapunov solver's (:func:`tibt.alrs._sweep`) over
 two of its append-only bases, one for ``(A, B)`` and one for ``(A^T,
-C^T)``, so a sweep applies ``A`` and ``A^T`` to the new columns only; both
-bases restart from their well-conditioned directions when ``W_k^T V_k``
-degrades. The sweep count is :attr:`AtiaResult.iterations_used`;
-``ReducedModel.iterations`` is set only by :func:`~tibt.reducers.tsia`.
+C^T)``, each solving and extending itself, W on a worker thread, so a sweep
+applies ``A`` and ``A^T`` to the new columns only; both bases restart from
+their well-conditioned directions when ``W_k^T V_k`` degrades. The sweep
+count is :attr:`AtiaResult.iterations_used`; ``ReducedModel.iterations`` is
+set only by :func:`~tibt.reducers.tsia`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .alrs import AlrsConfig, IterationRecord, _Basis, _sweep
 from .benchmarks import random_stable
 from .errors import DenseInfeasibleError
 from .metrics import DENSE_CAP_DEFAULT
-from .reducers import ReducedModel, solve_coupling_pair
+from .reducers import ReducedModel
 from .system import StateSpaceModel, hankel_singular_values, require_hurwitz
 
 __all__ = ["AtiaConfig", "AtiaResult", "atia_bt", "atia_hsv_compare"]
@@ -77,12 +78,9 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
     """
     require_hurwitz(model)
     start = random_stable(cfg.r0, model.m, model.p, cfg.seed)
-    vb = _Basis(model.A.apply, model.B)
-    wb = _Basis(model.A.apply_transpose, model.C.T)
-    ladder, last = _sweep(
-        cfg, (vb, wb),
-        lambda ar, br, cr: solve_coupling_pair(model, StateSpaceModel(ar, br, cr)),
-        (start.A.to_dense(), start.B, start.C), on_iteration)
+    vb = _Basis(model.A, model.B)
+    wb = _Basis(model.A.transpose(), model.C.T)
+    ladder, last = _sweep(cfg, (vb, wb), (start.A.to_dense(), start.B, start.C), on_iteration)
     if last is None:
         raise ValueError(
             "model has numerically zero input or output coupling; "

@@ -17,12 +17,14 @@ worker halves are:
 - :func:`solve_lyapunov_pair`: the ``trsyl`` back-substitution of Q. It
   writes only its own right-hand-side array and may share the
   quasi-triangular factor with the caller's back-substitution, read-only.
-- :func:`tibt.reducers.solve_coupling_pair`: the ``Qhat`` Sylvester solve
-  with ``A^T``. It reads ``A``, ``C`` and the ROM, and writes only arrays
-  it allocates.
-- ``tibt.alrs._sweep``, the loop of both adaptive drivers: extending the
-  ``W`` basis of a two-sided sweep (:func:`tibt.atia.atia_bt`). It writes
-  only that basis's own buffers and reads ``A`` and ``C``.
+- :func:`tibt.reducers.solve_coupling_pair`, which :func:`tibt.reducers.tsia`
+  and :func:`tibt.reducers.h2_optimality_residuals` call: the ``Qhat``
+  Sylvester solve with ``A^T``. It reads ``A``, ``C`` and the ROM, and
+  writes only arrays it allocates.
+- ``tibt.alrs._sweep``, the loop of both adaptive drivers: the W side's
+  Sylvester solve and extension in a two-sided sweep
+  (:func:`tibt.atia.atia_bt`). It reads ``A``, ``C`` and the ROM, and
+  writes only that basis's own buffers and arrays it allocates.
 - :func:`tibt.metrics.hinf_rel_error`: the odd-indexed points of each
   frequency grid, in ``_refine_peak``. Both halves add to one response
   memo, each under its own grid points' keys, and each writes only its
@@ -695,7 +697,8 @@ def cgs2(q, x, out=None):
     shares its read of ``q`` with the second set of coefficients, and the
     second projection shares its read with the panel QRs, so ``q`` is read
     three times. ``y`` is Fortran-ordered, or is ``out`` when given (an
-    n-by-j array that overlaps neither ``q`` nor ``x``).
+    n-by-j array that does not overlap ``q``; it may be ``x`` itself, which
+    is then projected in place, as ``c`` is formed before the first write).
     """
     n, j = x.shape
     c = q.T @ x

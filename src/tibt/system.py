@@ -85,7 +85,7 @@ class StateSpaceModel:
 
     @cached_property
     def _complex_c(self) -> np.ndarray:
-        # C promoted once, not by every complex product in eval_transfer
+        # C promoted once, not by every product in eval_transfer
         return self.C.astype(complex)
 
     def dual(self) -> "StateSpaceModel":
@@ -121,11 +121,8 @@ class PoleResidue:
 
 def eval_transfer(model: StateSpaceModel, s) -> np.ndarray:
     """Evaluate ``H(s) = C (sI - A)^{-1} B`` via one shifted solve."""
-    x = model.A.shifted_solve(s, model.B)  # (A - sI) x = B
-    if np.iscomplexobj(x):
-        # negation is exact, so this is bitwise C @ (-x)
-        return -(model._complex_c @ x)
-    return np.asarray(model.C @ (-x), dtype=complex)
+    # (A - sI) x = B, and negation is exact, so this is bitwise C @ (-x)
+    return -(model._complex_c @ model.A.shifted_solve(s, model.B))
 
 
 def eval_transfer_derivative(model: StateSpaceModel, s) -> np.ndarray:

@@ -232,6 +232,24 @@ class TestAlrsLyap:
         assert res.converged
         assert peak <= 96 * 8 * n, f"peak {peak / (8 * n):.1f} n-vectors"
 
+    def test_peak_memory_of_the_residual(self):
+        # criterion-9 config: [A V C, B] is built once and projected in
+        # place, so the residual peaks at 2r + 1 n-vectors besides the
+        # factor (3r + 3 when A V C, the stacked copy and a fresh remainder
+        # were alive at once)
+        n = 100_000
+        m = tibt.heat_rod(n)
+        cfg = AlrsConfig(r0=2, dr=2, tol=1e-4, i_max=3, k_max=21, seed=0)
+        factor = tibt.alrs_lyap(m.A, m.B, cfg).factor
+        tracemalloc.start()
+        try:
+            lowrank_lyapunov_residual(m.A, m.B, factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        r = factor.rank
+        assert peak <= (2 * r + 2) * 8 * n, f"peak {peak / (8 * n):.1f} n-vectors, r = {r}"
+
     def test_basis_is_orthonormal_and_core_psd(self):
         m = tibt.heat_rod(300)
         res = tibt.alrs_lyap(m.A, m.B, AlrsConfig(tol=1e-5, seed=2))

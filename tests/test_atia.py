@@ -296,15 +296,31 @@ class TestTwoThreadSweep:
         assert [rec.values.tolist() for rec in threaded.history] == [
             rec.values.tolist() for rec in inline.history]
 
+    def test_one_worker_thread_per_sweep(self, monkeypatch):
+        # each side solves and extends itself, so a sweep hands its W side
+        # to the worker once
+        starts = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", counting)
+            res = tibt.atia_bt(tibt.random_stable(40, 2, 2, 1), AtiaConfig(tol=1e-5, seed=0))
+        assert res.iterations_used > 1
+        assert len(starts) == res.iterations_used
+
     def test_w_side_failure_raised_in_the_caller(self, monkeypatch):
-        solve = tibt.reducers.solve_sylvester_skinny
+        solve = tibt.alrs.solve_sylvester_skinny
 
         def failing_off_the_caller(a, m, g, h):
             if threading.current_thread() is not threading.main_thread():
                 raise SpectrumOverlapError("W side failed")
             return solve(a, m, g, h)
 
-        monkeypatch.setattr(tibt.reducers, "solve_sylvester_skinny", failing_off_the_caller)
+        monkeypatch.setattr(tibt.alrs, "solve_sylvester_skinny", failing_off_the_caller)
         before = threading.active_count()
         with pytest.raises(SpectrumOverlapError, match="W side failed"):
             tibt.atia_bt(tibt.random_stable(40, 2, 2, 1), AtiaConfig(tol=1e-4, seed=0))

@@ -64,9 +64,8 @@ def test_traced_compare_run_records_every_layer(tracing, tmp_path):
                                "grid_points": 60}))
     before = tibt_bindings()
     with tracing.Tracer() as tracer:
-        # the coupling-pair solve reaches the Sylvester solver through this
-        # binding
-        assert getattr(tibt.reducers.solve_sylvester_skinny, "bench_traced", False)
+        # each sweep side reaches the Sylvester solver through this binding
+        assert getattr(tibt.alrs.solve_sylvester_skinny, "bench_traced", False)
         code = tibt.cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")])
     assert code == 0
     after = tibt_bindings()

@@ -641,6 +641,17 @@ class TestCgs2:
         signs = np.sign(np.diag(r_rs)) * np.sign(np.diag(r_y))
         assert np.linalg.norm(signs[:, None] * r_rs - r_y) <= 1e-13 * np.linalg.norm(r_y)
 
+    @pytest.mark.parametrize("n", [7, 2 * PANEL_ROWS + 300])
+    def test_projected_in_place(self, n):
+        # out may be x itself: the result is the fresh remainder's, bitwise
+        rng = np.random.default_rng(88)
+        q = orthonormal_columns(n, 5, 89)
+        x = np.asfortranarray(q @ rng.standard_normal((5, 4)) + rng.standard_normal((n, 4)))
+        fresh = cgs2(q, x)
+        in_place = cgs2(q, x, out=x)
+        assert in_place[1] is x
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, in_place))
+
 
 class TestPsdFactor:
     def test_identity(self):

@@ -49,7 +49,6 @@ import time  # noqa: E402
 import tibt  # noqa: E402
 import tibt.alrs  # noqa: E402
 import tibt.linalg  # noqa: E402
-import tibt.reducers  # noqa: E402
 
 MIB = 1024.0**2
 INTERVAL_S = 1e-3
@@ -140,7 +139,6 @@ def install(sampler):
         (tibt, "alrs_lyap", "driver"),
         (tibt, "atia_bt", "driver"),
         (tibt.alrs, "solve_sylvester_skinny", "sylvester"),
-        (tibt.reducers, "solve_sylvester_skinny", "sylvester"),
         (tibt.alrs._Basis, "extend", "extend"),
         (tibt.alrs._Basis, "gramian_factor", "gramian"),
         (tibt.alrs, "_factored_residual", "residual"),
