@@ -8,14 +8,14 @@ stagnate, the target rank is raised and the basis is reset to the latest
 interpolation data, so the basis (and the SVD cost) never grows past
 ``r * i_max`` columns.
 
-Both drivers run one sweep loop, :func:`_sweep`, over the bases of their
-sides: ``(V,)`` here and ``(V, W)`` in :mod:`tibt.atia`, each of which
-solves its own Sylvester equation and absorbs the solution. It ranks
-through :class:`_RankLadder`, truncates through
-:func:`~tibt.reducers.square_root_pair`, and reflects each side's projected
-matrix and each ROM, where it forms it, into the left half-plane, so ``A``
-need not be dissipative and every ROM it interpolates at or returns is
-Hurwitz (on a dissipative ``A`` both reflections are no-ops).
+Both drivers run one sweep loop, :func:`_sweep`, given their sides:
+``(A, B)`` here, and ``(A^T, C^T)`` too in :mod:`tibt.atia`. It builds the
+start and one basis per side, which solves its own Sylvester equation and
+absorbs the solution. It ranks through :class:`_RankLadder`, truncates
+through :func:`~tibt.reducers.square_root_pair`, and reflects each side's
+projected matrix and each ROM, where it forms it, into the left half-plane,
+so ``A`` need not be dissipative and every ROM it interpolates at or
+returns is Hurwitz (on a dissipative ``A`` both reflections are no-ops).
 
 Within a stage the basis grows append-only: new directions are
 orthogonalized against it by block classical Gram-Schmidt with
@@ -307,26 +307,30 @@ def _rebiorthogonalize(vb, wb, wv):
     wb.restart(wb.v @ uu[:, keep])
 
 
-def _sweep(cfg, bases, rom, on_iteration):
-    """The mirror-image fixed point over the bases of the sides, ``(V,)``
-    (Galerkin: W is V) or ``(V, W)``, from the stable ROM ``rom``; each
-    side's :meth:`_Basis.grow` gives its new directions, and the hook gets
-    ``(record, *bases, *new_directions)``. Each sweep forms one ROM and
-    reflects its ``Ar`` once; the next sweep interpolates at that ROM.
-    Returns the ladder and, unless a basis came out empty, the last
-    ``(Ar, Br, Cr)``, its pair ``(Vr, Wr)`` in basis coordinates and its
-    ordered singular values."""
+def _sweep(cfg, sides, on_iteration):
+    """The mirror-image fixed point over one :class:`_Basis` per side of
+    ``sides``, ``((A, B),)`` (Galerkin: W is V) or ``((A, B), (A^T, C^T))``,
+    from the seed's ``random_stable(r0, m, p, seed)``, m and p the columns
+    of the first and last ``b`` (an empty B keeps an empty start B; one side
+    never reads C). Each side's :meth:`_Basis.grow` gives its new
+    directions, and the hook gets ``(record, *bases, *new_directions)``.
+    Each sweep forms one ROM and reflects its ``Ar`` once; the next sweep
+    interpolates at that ROM. Returns the ladder, the bases and, unless a
+    basis came out empty, the last ``(Ar, Br, Cr)``, its pair ``(Vr, Wr)``
+    in basis coordinates and its ordered singular values."""
     ladder = _RankLadder(cfg)
+    bases = tuple(_Basis(op, b) for op, b in sides)
     vb, wb = bases[0], bases[-1]
     one_sided = wb is vb
-    ar, br, cr = rom
+    start = random_stable(cfg.r0, max(vb.b.shape[1], 1), max(wb.b.shape[1], 1), cfg.seed)
+    ar, br, cr = start.A.to_dense(), start.B[:, :vb.b.shape[1]], start.C
     while True:
         if one_sided:
             new = (vb.grow(ar, br),)
         else:  # W is solved and extended on a worker thread (see tibt.linalg)
             new = _on_two_threads(lambda: vb.grow(ar, br), lambda: wb.grow(ar.T, cr.T))
         if vb.k == 0 or wb.k == 0:
-            return ladder, None
+            return ladder, bases, None
         if one_sided:  # the basis supplies W^T A V, W^T B and C V
             zp = zq = vb.gramian_factor()
             u, s, _ = ordered_svd(zp.T @ zp)
@@ -348,7 +352,7 @@ def _sweep(cfg, bases, rom, on_iteration):
         ar = reflect_spectrum(wr.T @ wav @ vr)
         br, cr = wr.T @ wtb, cv @ vr
         if ladder.done(svd[1]):
-            return ladder, ((ar, br, cr), (vr, wr), svd[1])
+            return ladder, bases, ((ar, br, cr), (vr, wr), svd[1])
         if stage_done:  # the next stage starts from the latest directions
             for basis, directions in zip(bases, new):
                 basis.restart(directions)
@@ -384,13 +388,7 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if b.shape[0] != op.n:
         raise ValueError(f"B must have {op.n} rows, got {b.shape}")
-    m = b.shape[1]
-
-    # the seed's stable starting pair; C goes unused, an empty B stays empty
-    start = random_stable(cfg.r0, max(m, 1), 1, cfg.seed)
-    basis = _Basis(op, b)
-    rom = start.A.to_dense(), start.B[:, :m], start.C
-    ladder, last = _sweep(cfg, (basis,), rom, on_iteration)
+    ladder, (basis,), last = _sweep(cfg, ((op, b),), on_iteration)
     if last is None:  # zero right-hand side: nothing to capture
         ladder.converged = True
         small, s = np.zeros((0, 0)), np.zeros(0)

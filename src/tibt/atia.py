@@ -9,13 +9,13 @@ below ``tol`` times the largest, leaving a ROM that carries the dominant
 Hankel singular values of the full model. Each ROM, the returned one
 included, is reflected into the left half-plane where it is formed.
 
-The sweep loop is the Lyapunov solver's (:func:`tibt.alrs._sweep`) over
-two of its append-only bases, one for ``(A, B)`` and one for ``(A^T,
-C^T)``, each solving and extending itself, W on a worker thread, so a sweep
-applies ``A`` and ``A^T`` to the new columns only; both bases restart from
-their well-conditioned directions when ``W_k^T V_k`` degrades. The sweep
-count is :attr:`AtiaResult.iterations_used`; ``ReducedModel.iterations`` is
-set only by :func:`~tibt.reducers.tsia`.
+The sweep loop is the Lyapunov solver's (:func:`tibt.alrs._sweep`), given
+the sides ``(A, B)`` and ``(A^T, C^T)``. It builds the start and an
+append-only basis per side, each solving and extending itself (W on a
+worker thread) and applying its operator to the new columns only; both
+bases restart from their well-conditioned directions when ``W_k^T V_k``
+degrades. The sweep count is :attr:`AtiaResult.iterations_used`;
+``ReducedModel.iterations`` is set only by :func:`~tibt.reducers.tsia`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alrs import AlrsConfig, IterationRecord, _Basis, _sweep
-from .benchmarks import random_stable
+from .alrs import AlrsConfig, IterationRecord, _sweep
 from .errors import DenseInfeasibleError
 from .metrics import DENSE_CAP_DEFAULT
 from .reducers import ReducedModel
@@ -77,10 +76,8 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
     keeps them must copy them.
     """
     require_hurwitz(model)
-    start = random_stable(cfg.r0, model.m, model.p, cfg.seed)
-    vb = _Basis(model.A, model.B)
-    wb = _Basis(model.A.transpose(), model.C.T)
-    ladder, last = _sweep(cfg, (vb, wb), (start.A.to_dense(), start.B, start.C), on_iteration)
+    sides = (model.A, model.B), (model.A.transpose(), model.C.T)
+    ladder, (vb, wb), last = _sweep(cfg, sides, on_iteration)
     if last is None:
         raise ValueError(
             "model has numerically zero input or output coupling; "

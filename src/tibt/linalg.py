@@ -7,7 +7,7 @@ sets flush-to-zero around its LAPACK call (see
 :meth:`TridiagonalOperator.shifted_solve`). That mode is per thread and is
 restored before the solve returns, so concurrent callers are unaffected.
 
-Thread contract. Four calls split their work into two independent halves
+Thread contract. Five calls split their work into two independent halves
 and run one half on a worker thread while the calling thread runs the
 other, through one private helper, ``_on_two_threads``. It starts exactly
 one worker thread (never a pool), joins it before returning, and raises
@@ -17,10 +17,11 @@ worker halves are:
 - :func:`solve_lyapunov_pair`: the ``trsyl`` back-substitution of Q. It
   writes only its own right-hand-side array and may share the
   quasi-triangular factor with the caller's back-substitution, read-only.
-- :func:`tibt.reducers.solve_coupling_pair`, which :func:`tibt.reducers.tsia`
-  and :func:`tibt.reducers.h2_optimality_residuals` call: the ``Qhat``
-  Sylvester solve with ``A^T``. It reads ``A``, ``C`` and the ROM, and
-  writes only arrays it allocates.
+- :func:`tibt.reducers.tangential_interpolate`, which :func:`tibt.reducers.tsia`
+  calls, and :func:`tibt.reducers.solve_coupling_pair`, which
+  :func:`tibt.reducers.h2_optimality_residuals` calls: the W side's ``A^T``
+  Sylvester solve (``Wr``, then well scaled, or ``Qhat``). It reads ``A``,
+  ``C`` and the data or the ROM, and writes only arrays it allocates.
 - ``tibt.alrs._sweep``, the loop of both adaptive drivers: the W side's
   Sylvester solve and extension in a two-sided sweep
   (:func:`tibt.atia.atia_bt`). It reads ``A``, ``C`` and the ROM, and

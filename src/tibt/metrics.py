@@ -148,8 +148,6 @@ def _refine_peak(fun, grid: FreqGrid):
     best_v, best_w = vals[idx], pts[idx]
     lo = pts[idx - 1] if idx > 0 else pts[0]
     hi = pts[idx + 1] if idx + 1 < len(pts) else pts[-1]
-    if hi <= lo:
-        return best_v, best_w
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = np.log(lo), np.log(hi)
     c = b - invphi * (b - a)

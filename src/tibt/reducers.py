@@ -282,17 +282,14 @@ def tangential_interpolate(model: StateSpaceModel,
     ``Vr`` solves ``A Vr - Vr Sb + B Lb = 0`` and ``Wr`` solves
     ``A^T Wr - Wr Sc + C^T Lc = 0``; the ROM then matches ``H(s)`` along the
     right directions at the right points and along the left directions at
-    the left points (Hermite conditions where the point sets coincide).
+    the left points (Hermite conditions where the point sets coincide). It
+    projects onto both spans, well scaled and cut to their common rank;
+    ``Wr`` is solved and scaled on a worker thread (see :mod:`tibt.linalg`).
     """
-    return _interpolant(
-        model, solve_sylvester_skinny(model.A, -data.Sb.T, model.B, data.Lb),
-        solve_sylvester_skinny(model.A.transpose(), -data.Sc.T, model.C.T, data.Lc))
-
-
-def _interpolant(model, v, w):
-    """:func:`project` onto the well-scaled spans of the interpolatory
-    Sylvester solutions ``v`` and ``w``, cut to their common rank."""
-    vr, wr = _well_scaled_basis(v), _well_scaled_basis(w)
+    vr, wr = _on_two_threads(
+        lambda: _well_scaled_basis(solve_sylvester_skinny(model.A, -data.Sb.T, model.B, data.Lb)),
+        lambda: _well_scaled_basis(
+            solve_sylvester_skinny(model.A.transpose(), -data.Sc.T, model.C.T, data.Lc)))
     r = min(vr.shape[1], wr.shape[1])
     return project(model, vr[:, :r], wr[:, :r])
 
@@ -346,13 +343,13 @@ def tsia(model: StateSpaceModel, init, max_iter=200, conv_tol=1e-8) -> ReducedMo
 
     Starting from ``init`` (a :class:`ReducedModel` or a bare
     :class:`StateSpaceModel` of order r), each sweep reflects the ROM
-    (:func:`reflect_spectrum`) and interpolates ``model`` at the mirror
-    images of its poles along its residual directions: the bases are the
-    coupling pair of ``model`` and the reflected ROM, projected as in
-    :func:`tangential_interpolate`, so the order drops to the smaller rank
-    of the two. Iteration stops when the chordal change of the sorted ROM
-    poles drops below ``conv_tol``. On ``max_iter`` exhaustion the best
-    iterate seen is returned with ``converged=False``.
+    (:func:`reflect_spectrum`) and is :func:`tangential_interpolate` of
+    ``model`` at the mirror images of its poles along its residual
+    directions, ``InterpolationData(-Ar^T, Br^T, -Ar, Cr)``, whose bases
+    are the coupling pair of ``model`` and the ROM, so the order drops to
+    the smaller rank of the two. Iteration stops when the chordal change of
+    the sorted ROM poles drops below ``conv_tol``. On ``max_iter``
+    exhaustion the best iterate seen is returned with ``converged=False``.
 
     Raises
     ------
@@ -367,8 +364,7 @@ def tsia(model: StateSpaceModel, init, max_iter=200, conv_tol=1e-8) -> ReducedMo
     best_change = np.inf
     for it in range(1, max_iter + 1):
         ar = reflect_spectrum(rom.A.to_dense())
-        red = _interpolant(
-            model, *solve_coupling_pair(model, StateSpaceModel(ar, rom.B, rom.C)))
+        red = tangential_interpolate(model, InterpolationData(-ar.T, rom.B.T, -ar, rom.C))
         rom = red.rom
         new_poles = np.linalg.eigvals(rom.A.to_dense())
         change = _pole_change(new_poles, poles)

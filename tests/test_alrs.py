@@ -332,6 +332,10 @@ class TestAlrsLyap:
         assert res.converged is False
         assert res.iterations_used == 3
 
+    def test_wrong_b_rows_rejected(self):
+        with pytest.raises(ValueError, match=r"^B must have 10 rows, got \(9, 1\)$"):
+            tibt.alrs_lyap(tibt.heat_rod(10).A, np.ones((9, 1)), AlrsConfig())
+
     def test_unstable_matrix_rejected(self):
         with pytest.raises(NonHurwitzError):
             tibt.alrs_lyap(np.array([[1.0]]), np.array([[1.0]]),
@@ -366,6 +370,20 @@ DRIVERS = {
 
 
 class TestSweep:
+    @pytest.mark.parametrize("driver", DRIVERS.values(), ids=DRIVERS.keys())
+    def test_sweep_builds_the_one_start(self, driver, monkeypatch):
+        calls = []
+        random_stable = tibt.alrs.random_stable
+
+        def counting(*args):
+            calls.append(args)
+            return random_stable(*args)
+
+        monkeypatch.setattr(tibt.alrs, "random_stable", counting)
+        _, run = driver
+        run(tibt.random_stable(40, 2, 2, 1), AlrsConfig(tol=1e-4, seed=3))
+        assert calls == [(2, 2, 2, 3)]
+
     @pytest.mark.parametrize("driver", DRIVERS.values(), ids=DRIVERS.keys())
     @pytest.mark.parametrize("make", DISSIPATIVE_MODELS.values(), ids=DISSIPATIVE_MODELS.keys())
     def test_projected_reflection_is_a_no_op_on_dissipative_a(self, make, driver, monkeypatch):

@@ -224,6 +224,27 @@ class TestMatrixMarket:
             read_matrix_market(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("%%MatrixMarket vector coordinate real general\n", "unsupported object 'vector'", 1),
+        ("%%MatrixMarket matrix dense real general\n", "unsupported format 'dense'", 1),
+        ("%%MatrixMarket matrix array complex general\n", "unsupported field 'complex'", 1),
+        ("%%MatrixMarket matrix array real hermitian\n", "unsupported symmetry 'hermitian'", 1),
+        ("%%MatrixMarket matrix coordinate real general\n2 2\n",
+         "coordinate size line needs 'rows cols nnz'", 2),
+        ("%%MatrixMarket matrix array real general\n2 2 4\n",
+         "array size line needs 'rows cols'", 2),
+        ("%%MatrixMarket matrix array real general\n2 2.5\n", "non-integer size entry", 2),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
+         "coordinate entry needs 'i j value'", 3),
+    ], ids=["object", "format", "field", "symmetry", "coordinate-size-line",
+            "array-size-line", "non-integer-size", "coordinate-entry"])
+    def test_malformed_line_rejected(self, tmp_path, text, message, line):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(path)
+        assert str(err.value) == f"{path}: line {line}: {message}"
+
     def test_out_of_bounds_index_rejected(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text(
@@ -337,4 +358,16 @@ class TestMatrixMarket:
         save_matrix_market(pb, np.ones((3, 1)))
         save_matrix_market(pc, np.ones((1, 2)))
         with pytest.raises(DimensionMismatchError):
+            tibt.load_matrix_market(pa, pb, pc)
+
+    @pytest.mark.parametrize("a, c, message", [
+        (np.ones((2, 3)), np.ones((1, 2)), r"A must be square, got \(2, 3\)"),
+        (-np.eye(2), np.ones((1, 3)), "C has 3 columns, expected 2"),
+    ], ids=["non-square-a", "c-columns"])
+    def test_inconsistent_shapes_rejected(self, tmp_path, a, c, message):
+        pa, pb, pc = (tmp_path / x for x in ("a.mtx", "b.mtx", "c.mtx"))
+        save_matrix_market(pa, a)
+        save_matrix_market(pb, np.ones((2, 1)))
+        save_matrix_market(pc, c)
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
             tibt.load_matrix_market(pa, pb, pc)

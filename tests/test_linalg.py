@@ -278,6 +278,8 @@ class TestSolveLyapunovPair:
             solve(np.array([[-1e-14, 1.0], [-1.0, -1e-14]]), np.eye(2))
         with pytest.raises(ValueError, match=r"^G must match A"):
             solve(-np.eye(2), np.eye(3))
+        with pytest.raises(ValueError, match=r"^A must be square, got shape \(2, 3\)$"):
+            solve(-np.ones((2, 3)), np.eye(2))
 
     @pytest.mark.parametrize("failure", ["info", "raise"])
     def test_failing_worker_equation_raises_in_the_caller(self, failure, monkeypatch):
@@ -444,7 +446,17 @@ class TestSolveSylvesterSkinny:
             solve_sylvester_skinny(heat_rod(4).A, m, np.ones(g_shape), np.ones(h_shape))
 
 
+    def test_non_square_m_rejected(self):
+        with pytest.raises(ValueError, match=r"^M must be square, got shape \(2, 3\)$"):
+            solve_sylvester_skinny(heat_rod(4).A, np.ones((2, 3)), np.ones((4, 1)),
+                                   np.ones((1, 2)))
+
+
 class TestOrthonormalize:
+    def test_non_2d_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a 2-D array, got shape \(3,\)$"):
+            orthonormalize(np.ones(3))
+
     def test_identity_passthrough(self):
         q = orthonormalize(np.eye(3))
         assert q.shape == (3, 3)
@@ -563,6 +575,10 @@ class TestExtendOrthonormal:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             extend_orthonormal(np.zeros((5, 1)), np.ones((4, 1)))
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match="^row dimension must be >= 1$"):
+            extend_orthonormal(np.zeros((0, 0)), np.zeros((0, 1)))
 
     # below one panel, exactly one, one row past (a last panel with fewer
     # rows than columns), and several panels with a short last one
@@ -686,6 +702,14 @@ class TestPsdFactor:
         p = np.diag([1.0, -1e-16])
         z = psd_factor(p)
         assert z.shape[1] == 1
+
+    def test_zero_matrix_gives_empty_factor(self):
+        z = psd_factor(np.zeros((3, 3)))
+        assert z.shape == (3, 0)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"^P must be square, got shape \(2, 3\)$"):
+            psd_factor(np.ones((2, 3)))
 
 
 class TestOrderedSvd:
@@ -949,6 +973,35 @@ class TestOperators:
     def test_transpose_roundtrip(self):
         op = TridiagonalOperator([1.0, 2.0], [-4.0, -5.0, -6.0], [3.0, 0.5])
         assert np.allclose(op.transpose().to_dense(), op.to_dense().T)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DenseOperator(np.ones(3)), r"expected a square matrix, got shape \(3,\)"),
+        (lambda: DenseOperator(np.ones((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+        (lambda: DenseOperator(np.zeros((0, 0))), "operator dimension must be >= 1"),
+        (lambda: DenseOperator([[-1.0, np.nan], [0.0, -1.0]]), "matrix entries must be finite"),
+        (lambda: TridiagonalOperator([], [], []), "diag must be a 1-D array of length >= 1"),
+        (lambda: TridiagonalOperator([], -np.eye(2), []),
+         "diag must be a 1-D array of length >= 1"),
+        (lambda: TridiagonalOperator([1.0], [-1.0, -2.0, -3.0], [1.0, 1.0]),
+         "lower/upper diagonals must have length n - 1"),
+        (lambda: TridiagonalOperator([1.0, 1.0], [-1.0, -2.0, -3.0], [1.0]),
+         "lower/upper diagonals must have length n - 1"),
+        (lambda: TridiagonalOperator([1.0], [-1.0, np.inf], [1.0]), "matrix entries must be finite"),
+        (lambda: TridiagonalOperator([np.nan], [-1.0, -2.0], [1.0]), "matrix entries must be finite"),
+        (lambda: TridiagonalOperator([1.0], [-1.0, -2.0], [np.nan]), "matrix entries must be finite"),
+    ], ids=["dense-1d", "dense-non-square", "dense-empty", "dense-non-finite",
+            "tri-empty", "tri-2d-diag", "tri-short-lower", "tri-short-upper",
+            "tri-non-finite-diag", "tri-non-finite-lower", "tri-non-finite-upper"])
+    def test_constructor_rejects(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    @pytest.mark.parametrize("op", [DenseOperator([[1e-300]]), TridiagonalOperator([], [1e-300], [])],
+                             ids=["dense", "tridiagonal"])
+    def test_non_finite_solution_raises(self, op):
+        # 1e300 / 1e-300 overflows to inf
+        with pytest.raises(ShiftSolveFailure, match="^shifted solve produced non-finite values$"):
+            op.shifted_solve(0.0, np.array([1e300]))
 
     def test_singular_shift_rejected(self):
         op = DenseOperator(np.diag([-1.0, -2.0]))

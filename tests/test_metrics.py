@@ -6,7 +6,7 @@ import pytest
 from conftest import run_inline
 
 import tibt
-from tibt.errors import DimensionMismatchError, ShiftSolveFailure
+from tibt.errors import DenseInfeasibleError, DimensionMismatchError, ShiftSolveFailure
 from tibt.metrics import DENSE_CAP_DEFAULT, FreqGrid
 
 
@@ -27,6 +27,11 @@ class TestFreqGrid:
             FreqGrid(points=np.array([1.0]))
         with pytest.raises(ValueError):
             FreqGrid(points=np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_log_spaced_rejects_empty_range(self, lo, hi):
+        with pytest.raises(ValueError, match="^need 0 < lo < hi$"):
+            FreqGrid.log_spaced(lo, hi)
 
     def test_default_spans_spectrum(self):
         m = tibt.illustrative4()
@@ -112,6 +117,11 @@ class TestPqRelError:
         expected = np.linalg.norm(p @ q - approx, 2) / np.linalg.norm(p @ q, 2)
         assert abs(computed - expected) <= 1e-10 * max(expected, 1e-30)
 
+    def test_dense_cap_enforced(self):
+        m = tibt.illustrative4()
+        with pytest.raises(DenseInfeasibleError, match="^n = 4 exceeds dense cap 3$"):
+            tibt.pq_rel_error(m, tibt.bt_square_root(m, 2), dense_cap=3)
+
     def test_monotone_in_order_for_bt(self):
         m = tibt.random_stable(30, 2, 2, seed=64)
         errors = [tibt.pq_rel_error(m, tibt.bt_square_root(m, r))
@@ -124,6 +134,10 @@ class TestHinfRelError:
     def test_identical_models_give_zero(self):
         m = tibt.random_stable(10, 2, 2, seed=65)
         assert tibt.hinf_rel_error(m, m) <= 1e-14
+
+    def test_zero_response_model_gives_ratio_zero(self):
+        m = tibt.StateSpaceModel(np.array([[-1.0]]), np.array([[1.0]]), np.array([[0.0]]))
+        assert tibt.hinf_rel_error(m, m) == 0.0
 
     def test_zero_output_rom_gives_ratio_one(self):
         m = scalar_model()

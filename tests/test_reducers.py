@@ -1,6 +1,8 @@
+import threading
+
 import numpy as np
 import pytest
-from conftest import TEST_POINTS, damped_chain, transfer_mismatch
+from conftest import TEST_POINTS, damped_chain, run_inline, transfer_mismatch
 
 import tibt
 from tibt.errors import (
@@ -278,7 +280,49 @@ class TestTangentialInterpolate:
             assert e_ti <= 10.0 * e_tcr
 
 
+    def test_w_side_on_one_worker_thread_equal_to_inline(self, monkeypatch):
+        m = tibt.random_stable(60, 2, 2, seed=7)
+        pr = tibt.pole_residue(tibt.bt_square_root(m, 6).rom)
+        data = tibt.InterpolationData.from_points(-pr.poles, pr.right,
+                                                  -pr.poles, np.conj(pr.left))
+        starts = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", counting)
+            threaded = tibt.tangential_interpolate(m, data)
+        assert len(starts) == 1
+        with monkeypatch.context() as patch:
+            run_inline(patch)
+            inline = tibt.tangential_interpolate(m, data)
+        for x, y in [(threaded.rom.A.to_dense(), inline.rom.A.to_dense()),
+                     (threaded.rom.B, inline.rom.B), (threaded.rom.C, inline.rom.C),
+                     (threaded.Vr, inline.Vr), (threaded.Wr, inline.Wr)]:
+            assert np.array_equal(x, y)
+
+
 class TestTsia:
+    def test_one_model_built_per_iteration(self, monkeypatch):
+        # each sweep is tangential_interpolate, whose project builds the ROM
+        built = []
+        model_class = tibt.reducers.StateSpaceModel
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return model_class(*args, **kwargs)
+
+        m = tibt.random_stable(60, 2, 2, seed=0)
+        init = tibt.random_stable(4, 2, 2, seed=1)
+        monkeypatch.setattr(tibt.reducers, "StateSpaceModel", counting)
+        red = tibt.tsia(m, init, max_iter=3, conv_tol=1e-14)
+        assert red.iterations == 3
+        assert red.converged is False
+        assert len(built) == 3
+
     def test_fixed_point_in_one_iteration(self):
         m = scalar_model()
         init = tibt.bt_square_root(m, 1)
@@ -480,6 +524,16 @@ class TestNearOptimalityOfBalancedTruncation:
 
 
 class TestInterpolationData:
+    def test_direction_count_rejected(self):
+        with pytest.raises(ValueError, match="^right data: need one direction per point$"):
+            tibt.InterpolationData.from_points([1.0, 2.0], [[1.0]], [1.0, 2.0], [[1.0], [1.0]])
+
+    def test_unobservable_pair_detected(self):
+        # L S^k = L for S = diag(1, 2) and L = [1, 0]: the stacked rank is 1
+        data = tibt.InterpolationData.from_points([1.0, 2.0], [[1.0], [0.0]],
+                                                  [1.0, 2.0], [[1.0], [1.0]])
+        assert data.observable() is False
+
     def test_unpaired_complex_point_rejected(self):
         with pytest.raises(ValueError):
             tibt.InterpolationData.from_points([1.0 + 2.0j], [[1.0]],
@@ -522,6 +576,16 @@ class TestBtFromFactors:
         red = bt_from_factors(m, eig_trunc(gram.P, 3), eig_trunc(gram.Q, 3), 2)
         naive_hsv = tibt.hankel_singular_values(red.rom)
         assert np.allclose(naive_hsv, [72.9579, 8.3810], rtol=0, atol=1e-4)
+
+    def test_order_below_one_rejected(self):
+        z = np.eye(4)
+        with pytest.raises(ValueError, match="^r = 0 must be >= 1$"):
+            bt_from_factors(tibt.illustrative4(), z, z, 0)
+
+    def test_zero_factor_product_rejected(self):
+        z = np.zeros((4, 1))
+        with pytest.raises(ValueError, match="^Gramian factors have numerically zero product$"):
+            bt_from_factors(tibt.illustrative4(), z, z, 1)
 
 
 class TestSquareRootPair:

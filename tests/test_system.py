@@ -241,6 +241,15 @@ class TestStateSpaceModel:
         with pytest.raises(ValueError):
             tibt.StateSpaceModel(np.eye(2), np.ones((3, 1)), np.ones((1, 2)))
 
+    @pytest.mark.parametrize("b, c, message", [
+        (np.ones((2, 1)), np.ones((1, 3)), r"C must have 2 columns, got \(1, 3\)"),
+        (np.ones((2, 0)), np.ones((1, 2)), "input and output counts must be >= 1"),
+        (np.ones((2, 1)), np.ones((0, 2)), "input and output counts must be >= 1"),
+    ], ids=["c-columns", "no-inputs", "no-outputs"])
+    def test_shape_rejected(self, b, c, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tibt.StateSpaceModel(-np.eye(2), b, c)
+
     def test_dual_shapes(self):
         model = tibt.random_stable(5, 2, 3, seed=0)
         dual = model.dual()

@@ -1,5 +1,5 @@
-"""Two SHA-256s per run of the adaptive drivers, TSIA and the truncations,
-for bitwise comparisons.
+"""Two SHA-256s per run of the adaptive drivers, TSIA, the truncations and
+tangential interpolation, for bitwise comparisons.
 
     PYTHONPATH=src python3 tools/driver_digest.py > digest.txt
 
@@ -19,13 +19,18 @@ runs (``illustrative4`` at r = 2, 3; ``random_stable(60, 2, 2, 0)`` at r =
 2, 4, 6; ``random_stable(150, 2, 2, 5)`` at r = 4, 8; ``heat_rod(400)`` at
 r = 4, 6, 8), each from the ``random_stable(r, m, p, seed)`` start of init
 seeds 0 and 1, as the CLI's ``tsia`` task builds it; their history is the
-iteration count. Last come the truncations, whose history is the order: 22
+iteration count. Then come the truncations, whose history is the order: 22
 ``two_step_lowrank_bt`` runs (``random_stable(30, 2, 2, 5)`` on the full
 space at r = 5, ``heat_rod(120)`` on its Krylov spans at 3, 30 and 300 at
 r = 3, and the 20 seeded trial-span pairs of acceptance criterion 8 at
 r = 4), then ``bt_square_root``, ``tcr`` and ``tor`` on ``illustrative4``
 (r = 1-3), ``random_stable(60, 2, 2, 0)`` (r = 4, 8), ``heat_rod(400)``
-(r = 4, 8, 16) and ``heat_rod(1000)`` (r = 8).
+(r = 4, 8, 16) and ``heat_rod(1000)`` (r = 8). Last come 10 direct
+``tangential_interpolate`` runs on the data of acceptance criterion 6:
+``random_stable(60, 2, 2, 7)`` at the mirror images of the poles of its
+``bt_square_root`` of order r, along that ROM's residual directions
+(``pole_residue``, then ``InterpolationData.from_points``), for r = 2, 4,
+..., 20, hashed as the truncations are.
 
 ``tibt`` is imported from ``PYTHONPATH``, so running this script against two
 checkouts' ``src`` and diffing the outputs checks that a change leaves the
@@ -96,6 +101,15 @@ def _truncation_models():
     yield "random_stable(60,2,2,0)", lambda: tibt.random_stable(60, 2, 2, 0), (4, 8)
     yield "heat_rod(400)", lambda: tibt.heat_rod(400), (4, 8, 16)
     yield "heat_rod(1000)", lambda: tibt.heat_rod(1000), (8,)
+
+
+def _interpolation_cases():
+    m = tibt.random_stable(60, 2, 2, 7)
+    for r in range(2, 21, 2):
+        pr = tibt.pole_residue(tibt.bt_square_root(m, r).rom)
+        data = tibt.InterpolationData.from_points(-pr.poles, pr.right,
+                                                  -pr.poles, np.conj(pr.left))
+        yield f"random_stable(60,2,2,7) bt_square_root mirror r={r}", m, data
 
 
 def _feed(h, x):
@@ -188,6 +202,11 @@ def main():
                               lambda hist, result: _truncation(
                                   reducer, (model, r), hist, result)),
                       flush=True)
+    for label, model, data in _interpolation_cases():
+        print(_digest(f"tangential_interpolate {label}",
+                      lambda hist, result: _truncation(
+                          tibt.tangential_interpolate, (model, data), hist, result)),
+              flush=True)
 
 
 if __name__ == "__main__":
