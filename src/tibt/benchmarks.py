@@ -45,7 +45,6 @@ def heat_rod(n: int) -> StateSpaceModel:
         lower=np.full(n - 1, h2),
         diag=np.full(n, -2.0 * h2),
         upper=np.full(n - 1, h2),
-        known_hurwitz=True,
     )
     j = min(max(int(round(n / 3)), 1), n)
     k = min(max(int(round(2 * n / 3)), 1), n)
@@ -71,7 +70,7 @@ def random_stable(n: int, m: int, p: int, seed: int) -> StateSpaceModel:
     a = ma - (np.linalg.norm(ma, 2) + 1.0) * np.eye(n)
     b = np.random.default_rng(streams[1]).standard_normal((n, m))
     c = np.random.default_rng(streams[2]).standard_normal((p, n))
-    return StateSpaceModel(DenseOperator(a, known_hurwitz=True), b, c)
+    return StateSpaceModel(DenseOperator(a), b, c)
 
 
 def illustrative4() -> StateSpaceModel:
@@ -85,7 +84,7 @@ def illustrative4() -> StateSpaceModel:
     a = np.diag([-0.1, -0.2, -100.0, -200.0])
     b = np.array([[1.0], [1.0], [1.0e4], [1.0]])
     c = np.array([[1.0, 1.0, 1.0, 1.0e4]])
-    return StateSpaceModel(DenseOperator(a, known_hurwitz=True), b, c)
+    return StateSpaceModel(DenseOperator(a), b, c)
 
 
 class _Entries(NamedTuple):

@@ -181,13 +181,10 @@ class LinearOperator(ABC):
 
     Concrete operators must keep ``apply`` and ``shifted_solve`` consistent
     with the dense matrix they abstract (to ~1e-12 relative when both exist).
-    ``known_hurwitz`` may be set by constructors that guarantee stability
-    structurally, avoiding an eigenvalue computation. The two-thread calls
-    of the module docstring call an operator and its transpose from two
-    threads at once, so their methods must allow concurrent calls.
+    The two-thread calls of the module docstring call an operator and its
+    transpose from two threads at once, so their methods must allow
+    concurrent calls.
     """
-
-    known_hurwitz: bool | None = None
 
     @property
     @abstractmethod
@@ -218,6 +215,10 @@ class LinearOperator(ABC):
             non-finite values.
         """
 
+    def hurwitz(self) -> bool | None:
+        """Whether the operator is Hurwitz if its entries decide it cheaply, else None."""
+        return None
+
     @abstractmethod
     def transpose(self) -> "LinearOperator":
         """Return an operator representing ``A.T``."""
@@ -246,7 +247,7 @@ def _check_solution_finite(x):
 class DenseOperator(LinearOperator):
     """Operator backed by a dense square matrix."""
 
-    def __init__(self, matrix, known_hurwitz=None):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -255,7 +256,6 @@ class DenseOperator(LinearOperator):
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         self._m = m
-        self.known_hurwitz = known_hurwitz
 
     @property
     def n(self):
@@ -284,7 +284,7 @@ class DenseOperator(LinearOperator):
         return _check_solution_finite(x)
 
     def transpose(self):
-        return DenseOperator(self._m.T, known_hurwitz=self.known_hurwitz)
+        return DenseOperator(self._m.T)
 
     def to_dense(self):
         return self._m.copy()
@@ -293,7 +293,7 @@ class DenseOperator(LinearOperator):
 class TridiagonalOperator(LinearOperator):
     """Tridiagonal operator with O(n) products and shifted solves."""
 
-    def __init__(self, lower, diag, upper, known_hurwitz=None):
+    def __init__(self, lower, diag, upper):
         d = np.asarray(diag, dtype=float)
         lo = np.asarray(lower, dtype=float)
         up = np.asarray(upper, dtype=float)
@@ -307,7 +307,6 @@ class TridiagonalOperator(LinearOperator):
         self._lo = lo
         self._d = d
         self._up = up
-        self.known_hurwitz = known_hurwitz
 
     @property
     def n(self):
@@ -380,25 +379,28 @@ class TridiagonalOperator(LinearOperator):
         _check_solution_finite(rhs)
         return rhs[:, 0] if vec else rhs
 
-    def real_spectrum_max(self):
-        """Largest eigenvalue when every product ``lower[i] * upper[i]`` is
-        >= 0, else None.
+    def hurwitz(self):
+        """Decided by one O(n) banded Cholesky when it can be.
 
-        Such an operator has the spectrum of the symmetric tridiagonal with
-        off-diagonal ``sqrt(lower * upper)``: it is similar to it where the
-        products are positive and block triangular where they vanish. The
-        spectrum is therefore real, and its top costs O(n).
+        A diagonal similarity makes each off-diagonal pair symmetric where
+        its product is positive and skew where it is negative (one zero
+        entry splits the operator into triangular blocks). If ``-H``, for
+        the symmetric part ``H`` with off-diagonal ``sqrt(max(lower *
+        upper, 0))``, has a Cholesky factor, the operator is Hurwitz (True);
+        if not, and no product is negative, it has ``H``'s spectrum (False).
         """
         prod = self._lo * self._up
-        if not (np.all(prod >= 0.0) and np.all(np.isfinite(prod))):
+        if not np.all(np.isfinite(prod)):
             return None
-        top = sla.eigvalsh_tridiagonal(self._d, np.sqrt(prod), select="i",
-                                       select_range=(self.n - 1, self.n - 1))
-        return float(top[0])
+        band = np.vstack([np.r_[0.0, np.sqrt(np.maximum(prod, 0.0))], -self._d])
+        try:
+            sla.cholesky_banded(band, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None if np.any(prod < 0.0) else False
+        return True
 
     def transpose(self):
-        return TridiagonalOperator(self._up, self._d, self._lo,
-                                   known_hurwitz=self.known_hurwitz)
+        return TridiagonalOperator(self._up, self._d, self._lo)
 
     def to_dense(self):
         if self.n > 20_000:

@@ -9,6 +9,7 @@ H2-optimal reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -353,9 +354,13 @@ def tsia(model: StateSpaceModel, init, max_iter=200, conv_tol=1e-8) -> ReducedMo
 
     Raises
     ------
+    ValueError
+        If ``max_iter`` is not an integer >= 1; no solve is made.
     SingularProjectionError
         If a sweep's ``W^T V`` is numerically singular; no iterate is returned.
     """
+    if not isinstance(max_iter, Integral) or isinstance(max_iter, bool) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     require_hurwitz(model)
     rom = init.rom if isinstance(init, ReducedModel) else init
     require_hurwitz(rom, "initial reduced model")

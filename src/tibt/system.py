@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DenseInfeasibleError, NonHurwitzError, RepeatedPolesError
 from .linalg import (
     LinearOperator,
-    TridiagonalOperator,
     as_operator,
     ordered_svd,
     psd_factor,
@@ -144,12 +143,10 @@ def pole_residue(model: StateSpaceModel) -> PoleResidue:
     a = model.A.to_dense()
     lam, x = np.linalg.eig(a)
     radius = np.max(np.abs(lam))
-    if model.n > 1:
-        diff = np.abs(lam[:, None] - lam[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if np.min(diff) <= 1e-10 * max(radius, np.finfo(float).tiny):
-            raise RepeatedPolesError(
-                "eigenvalue gap below 1e-10 * spectral radius")
+    diff = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(diff, np.inf)
+    if np.min(diff) <= 1e-10 * max(radius, np.finfo(float).tiny):
+        raise RepeatedPolesError("eigenvalue gap below 1e-10 * spectral radius")
     left = (model.C @ x).T                      # row i = C x_i
     right = np.conj(np.linalg.solve(x, model.B))  # row i = conj((X^-1 B)_i)
     return PoleResidue(poles=lam, left=left, right=right)
@@ -179,31 +176,26 @@ def hankel_singular_values(model: StateSpaceModel) -> np.ndarray:
 def is_hurwitz(model_or_operator) -> bool:
     """True iff all eigenvalues of A have strictly negative real part.
 
-    Operators constructed with a structural stability guarantee short-circuit
-    through ``known_hurwitz``. A tridiagonal operator with a real spectrum
-    (see :meth:`~tibt.linalg.TridiagonalOperator.real_spectrum_max`) is
-    checked in O(n); otherwise the dense spectrum is examined.
+    Derived from the operator's entries: cheaply when
+    :meth:`~tibt.linalg.LinearOperator.hurwitz` decides it (in O(n) for a
+    tridiagonal operator), otherwise from the dense spectrum.
 
     Raises
     ------
     DenseInfeasibleError
-        If the operator is too large to densify and no cheaper test
-        applies.
+        If the operator is too large to densify and not decided cheaply.
     """
     op = model_or_operator.A if isinstance(model_or_operator, StateSpaceModel) \
         else as_operator(model_or_operator)
-    if op.known_hurwitz is not None:
-        return bool(op.known_hurwitz)
-    if isinstance(op, TridiagonalOperator):
-        top = op.real_spectrum_max()
-        if top is not None:
-            return top < 0.0
+    verdict = op.hurwitz()
+    if verdict is not None:
+        return verdict
     try:
         a = op.to_dense()
     except DenseInfeasibleError as exc:
         raise DenseInfeasibleError(
             f"cannot check that the {op.n}x{op.n} operator is Hurwitz without "
-            f"densifying it; construct it with known_hurwitz") from exc
+            "densifying it") from exc
     lam = np.linalg.eigvals(a)
     return bool(np.max(lam.real) < 0.0)
 

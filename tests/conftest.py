@@ -80,7 +80,6 @@ class CountingOperator(tibt.LinearOperator):
 
     def __init__(self, inner, cols=None, lock=None):
         self.inner = inner
-        self.known_hurwitz = inner.known_hurwitz
         self.cols = [0] if cols is None else cols
         self._lock = threading.Lock() if lock is None else lock
 
@@ -102,6 +101,9 @@ class CountingOperator(tibt.LinearOperator):
 
     def shifted_solve(self, s, b):
         return self.inner.shifted_solve(s, b)
+
+    def hurwitz(self):
+        return self.inner.hurwitz()
 
     def transpose(self):
         return CountingOperator(self.inner.transpose(), self.cols, self._lock)

@@ -141,7 +141,7 @@ class TestAtiaBt:
                             raising=False)
         monkeypatch.setattr(tibt.linalg, "orthonormalize", no_full_orthonormalization)
         src = tibt.random_stable(120, 2, 2, seed=5)
-        op = CountingOperator(tibt.DenseOperator(src.A.to_dense(), known_hurwitz=True))
+        op = CountingOperator(src.A)
         m = tibt.StateSpaceModel(op, src.B, src.C)
         v_absorbed, w_absorbed = AbsorbedColumns(), AbsorbedColumns()
 

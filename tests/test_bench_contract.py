@@ -75,3 +75,29 @@ def test_traced_compare_run_records_every_layer(tracing, tmp_path):
     for name in ("linalg.sylvester.calls", "atia.sweeps", "system.gramians.calls",
                  "metrics.hinf.calls"):
         assert metrics[name] > 0, name
+
+
+def traced_drivers(tracing):
+    """Layer metrics of ``alrs_lyap`` and ``atia_bt`` on a small rod, traced
+    in-process."""
+    rod = tibt.heat_rod(200)
+    with tracing.Tracer() as tracer:
+        tibt.alrs_lyap(rod.A, rod.B, tibt.AlrsConfig(tol=1e-6))
+        tibt.atia_bt(rod, tibt.AtiaConfig(tol=1e-4))
+    return tracer.layer_metrics({None})
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the tracer wraps lowrank_lyapunov_residual, but "
+                          "alrs_lyap calls _factored_residual")
+def test_traced_drivers_record_the_lyapunov_residual(tracing):
+    assert traced_drivers(tracing)["alrs.residual_s"] > 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the tracer wraps orthonormalize, but both drivers "
+                          "grow their bases with extend_orthonormal")
+def test_traced_drivers_record_basis_orthonormalization(tracing):
+    metrics = traced_drivers(tracing)
+    for key in ("calls", "s", "cols_in", "cols_kept", "mb_in"):
+        assert metrics[f"linalg.orth.{key}"] > 0, key

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tibt
 from tibt.benchmarks import read_matrix_market, save_matrix_market
@@ -173,6 +174,17 @@ class TestMatrixMarket:
         assert isinstance(loaded.A, TridiagonalOperator)
         for band in ("_lo", "_d", "_up"):
             assert np.array_equal(getattr(loaded.A, band), getattr(rod.A, band))
+
+    def test_loaded_rod_checked_in_linear_time(self, tmp_path, monkeypatch):
+        _, paths = _write_rod_files(tmp_path, 30_000, "symmetric")
+        loaded = tibt.load_matrix_market(*paths)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum or dense matrix computed")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", refuse)
+        monkeypatch.setattr(TridiagonalOperator, "to_dense", refuse)
+        assert tibt.is_hurwitz(loaded)
 
     def test_files_stream_without_keeping_lines(self, tmp_path):
         # about 4e4 lines, which would take about 7 MiB if kept as strings

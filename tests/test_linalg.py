@@ -950,7 +950,8 @@ class TestOperators:
 
     def test_one_state_spectrum_and_dense(self):
         op = TridiagonalOperator([], [-3.5], [])
-        assert op.real_spectrum_max() == -3.5
+        assert op.hurwitz() is True
+        assert TridiagonalOperator([], [0.0], []).hurwitz() is False
         assert np.array_equal(op.to_dense(), [[-3.5]])
 
     def test_tridiagonal_agrees_with_dense(self):

@@ -393,6 +393,15 @@ class TestTsia:
         assert red.converged is False
         assert red.iterations == 1
 
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.0, True])
+    def test_max_iter_rejected_before_any_solve(self, monkeypatch, max_iter):
+        def no_sweep(*args):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(tibt.reducers, "tangential_interpolate", no_sweep)
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer >= 1, got "):
+            tibt.tsia(scalar_model(), scalar_model(), max_iter=max_iter)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_breakdown_raises(self, seed):
         # a mid-run W^T V goes numerically singular; no iterate is returned

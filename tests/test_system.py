@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tibt
-from tibt.errors import RepeatedPolesError, TibtError
+from tibt.errors import DenseInfeasibleError, RepeatedPolesError
 from tibt.linalg import TridiagonalOperator
 
 
@@ -170,16 +171,21 @@ class TestIsHurwitz:
     def test_imaginary_axis_not_hurwitz(self):
         assert not tibt.is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
-    def test_structural_flag_short_circuit(self):
+    def test_heat_rod_checked_in_linear_time(self, monkeypatch):
         model = tibt.heat_rod(10**5)
+        self._linear_time_only(monkeypatch)
         assert tibt.is_hurwitz(model)
 
     @staticmethod
-    def _no_densify(monkeypatch):
-        def refuse(self):
-            raise AssertionError("densified")
+    def _linear_time_only(monkeypatch, densify=False):
+        """Make the tridiagonal eigensolver fail, and ``to_dense`` too
+        unless ``densify``."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum or dense matrix computed")
 
-        monkeypatch.setattr(TridiagonalOperator, "to_dense", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", refuse)
+        if not densify:
+            monkeypatch.setattr(TridiagonalOperator, "to_dense", refuse)
 
     @pytest.mark.parametrize("n", [1, 2, 50, 30_000])
     def test_tridiagonal_with_real_spectrum_stable(self, monkeypatch, n):
@@ -188,7 +194,7 @@ class TestIsHurwitz:
         # -2.1 + 2 cos(pi / (n + 1)) < 0
         op = TridiagonalOperator(np.full(n - 1, 4.0), np.full(n, -2.1),
                                  np.full(n - 1, 0.25))
-        self._no_densify(monkeypatch)
+        self._linear_time_only(monkeypatch)
         assert tibt.is_hurwitz(op)
 
     @pytest.mark.parametrize("n", [50, 30_000])
@@ -196,7 +202,7 @@ class TestIsHurwitz:
         # the same operator shifted right by 0.2 has top eigenvalue ~ +0.1
         op = TridiagonalOperator(np.full(n - 1, 4.0), np.full(n, -1.9),
                                  np.full(n - 1, 0.25))
-        self._no_densify(monkeypatch)
+        self._linear_time_only(monkeypatch)
         assert not tibt.is_hurwitz(op)
 
     def test_tridiagonal_zero_products_decouple(self, monkeypatch):
@@ -206,18 +212,27 @@ class TestIsHurwitz:
                                  [0.0, 7.0, 1.0])
         assert tibt.is_hurwitz(op) is bool(
             np.max(np.linalg.eigvals(op.to_dense()).real) < 0.0)
-        self._no_densify(monkeypatch)
+        self._linear_time_only(monkeypatch)
         assert not tibt.is_hurwitz(op)
 
-    def test_tridiagonal_agrees_with_dense_spectrum(self):
+    def test_tridiagonal_agrees_with_dense_spectrum(self, monkeypatch):
+        # off-diagonal products of both signs; a decided verdict is exact,
+        # and an undecided one falls back to the dense spectrum
+        self._linear_time_only(monkeypatch, densify=True)
         rng = np.random.default_rng(12)
-        for _ in range(20):
-            n = int(rng.integers(2, 40))
-            lower, upper = rng.random(n - 1), rng.random(n - 1)
+        verdicts = []
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            negative = rng.random(n - 1) < rng.choice([0.0, 0.3, 1.0])
+            lower = rng.random(n - 1)
+            upper = np.where(negative, -1.0, 1.0) * rng.random(n - 1)
             diag = rng.standard_normal(n) - 1.5
             op = TridiagonalOperator(lower, diag, upper)
             dense = bool(np.max(np.linalg.eigvals(op.to_dense()).real) < 0.0)
+            verdicts.append(op.hurwitz())
+            assert verdicts[-1] is None or verdicts[-1] is dense
             assert tibt.is_hurwitz(op) is dense
+        assert {True, False, None} <= set(verdicts)
 
     def test_small_negative_products_use_dense_spectrum(self):
         # lower * upper < 0: a rotation-like coupling with complex
@@ -225,15 +240,27 @@ class TestIsHurwitz:
         op = TridiagonalOperator([-2.0], [-1.0, -1.0], [2.0])
         assert tibt.is_hurwitz(op)
 
-    def test_large_negative_products_need_known_hurwitz(self):
+    def test_large_negative_products_certified(self, monkeypatch):
+        # every product is negative: the scaled operator is -3 I plus a
+        # skew part, so its numerical range lies on Re = -3
         n = 30_000
         op = TridiagonalOperator(np.full(n - 1, -1.0), np.full(n, -3.0),
                                  np.full(n - 1, 1.0))
-        with pytest.raises(TibtError, match="known_hurwitz"):
+        self._linear_time_only(monkeypatch)
+        assert tibt.is_hurwitz(op)
+
+    def test_large_mixed_products_refused(self, monkeypatch):
+        # products alternate 4 and -1: the symmetric part has 2x2 blocks
+        # [[-1, 2], [2, -1]] with eigenvalue 1, which decides nothing
+        n = 30_000
+        op = TridiagonalOperator(np.where(np.arange(n - 1) % 2 == 0, 4.0, -1.0),
+                                 np.full(n, -1.0), np.full(n - 1, 1.0))
+        self._linear_time_only(monkeypatch, densify=True)
+        assert op.hurwitz() is None
+        with pytest.raises(DenseInfeasibleError,
+                           match=r"^cannot check that the 30000x30000 operator is "
+                                 r"Hurwitz without densifying it$"):
             tibt.is_hurwitz(op)
-        assert tibt.is_hurwitz(TridiagonalOperator(
-            np.full(n - 1, -1.0), np.full(n, -3.0), np.full(n - 1, 1.0),
-            known_hurwitz=True))
 
 
 class TestStateSpaceModel:
