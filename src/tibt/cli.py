@@ -24,7 +24,7 @@ from . import benchmarks
 from .alrs import AlrsConfig, alrs_lyap
 from .atia import atia_bt, atia_hsv_compare
 from .errors import TibtError
-from .linalg import flushes_subnormals, solve_lyapunov_dense
+from .linalg import _check_densifiable, flushes_subnormals, solve_lyapunov_dense
 from .metrics import DENSE_CAP_DEFAULT, FreqGrid, gramian_rel_error, hinf_rel_error, pq_rel_error
 from .reducers import bt_square_root, h2_optimality_residuals, tcr, tor, tsia
 from .system import hankel_singular_values
@@ -241,7 +241,8 @@ def run_task(cfg, seed, out_dir):
         err_rows = [("lyapunov_residual", _fmt(result.residual),
                      str(result.factor.rank))]
         if dense_ok:
-            exact = solve_lyapunov_dense(work.A.to_dense(), work.B @ work.B.T)
+            _check_densifiable(work.n)  # before the n-by-n B B^T is made
+            exact = solve_lyapunov_dense(work.A, work.B @ work.B.T)
             err = gramian_rel_error(exact, result.factor.reconstruct())
             err_rows.append(("gramian_rel_error", _fmt(err), str(result.factor.rank)))
         artifacts["errors.csv"] = (("metric", "value", "r"), err_rows)

@@ -1,11 +1,12 @@
 """Dense linear-algebra kernels and structured Sylvester/Lyapunov solvers.
 
-Everything here is a pure function of its inputs (no shared mutable state),
-so all operations are safe to call concurrently. The one piece of state a
-kernel touches is the floating-point mode: the tridiagonal shifted solve
-sets flush-to-zero around its LAPACK call (see
-:meth:`TridiagonalOperator.shifted_solve`). That mode is per thread and is
-restored before the solve returns, so concurrent callers are unaffected.
+Everything here is a pure function of its inputs, so all operations are
+safe to call concurrently, save for two pieces of state. The tridiagonal
+shifted solve sets flush-to-zero around its LAPACK call (see
+:meth:`TridiagonalOperator.shifted_solve`); that mode is per thread and is
+restored before the solve returns. An operator's first
+:meth:`~LinearOperator.schur` form caches its ``eigenvalues``, which the
+library first reads on the calling thread, never in ``_on_two_threads``.
 
 Thread contract. Five calls split their work into two independent halves
 and run one half on a worker thread while the calling thread runs the
@@ -215,9 +216,23 @@ class LinearOperator(ABC):
             non-finite values.
         """
 
-    def hurwitz(self) -> bool | None:
-        """Whether the operator is Hurwitz if its entries decide it cheaply, else None."""
-        return None
+    def hurwitz(self) -> bool:
+        """Whether every one of :attr:`eigenvalues` has Re < 0."""
+        return bool(np.max(self.eigenvalues.real) < 0.0)
+
+    def schur(self):
+        """Real Schur form ``(T, U)`` of :meth:`to_dense`; the first call
+        keeps ``eigvals(T)`` as :attr:`eigenvalues`, not ``T`` or ``U``."""
+        t, u = sla.schur(self.to_dense(), output="real")
+        if "eigenvalues" not in self.__dict__:
+            self.eigenvalues = np.linalg.eigvals(t)
+        return t, u
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the first :meth:`schur` form, made if none was."""
+        self.schur()
+        return self.eigenvalues
 
     @abstractmethod
     def transpose(self) -> "LinearOperator":
@@ -380,7 +395,7 @@ class TridiagonalOperator(LinearOperator):
         return rhs[:, 0] if vec else rhs
 
     def hurwitz(self):
-        """Decided by one O(n) banded Cholesky when it can be.
+        """Decided by one O(n) banded Cholesky when it can be, else by eigenvalues.
 
         A diagonal similarity makes each off-diagonal pair symmetric where
         its product is positive and skew where it is negative (one zero
@@ -389,29 +404,34 @@ class TridiagonalOperator(LinearOperator):
         upper, 0))``, has a Cholesky factor, the operator is Hurwitz (True);
         if not, and no product is negative, it has ``H``'s spectrum (False).
         """
-        prod = self._lo * self._up
-        if not np.all(np.isfinite(prod)):
-            return None
-        band = np.vstack([np.r_[0.0, np.sqrt(np.maximum(prod, 0.0))], -self._d])
-        try:
-            sla.cholesky_banded(band, check_finite=False)
-        except np.linalg.LinAlgError:
-            return None if np.any(prod < 0.0) else False
-        return True
+        with np.errstate(over="ignore"):
+            prod = self._lo * self._up
+        if np.all(np.isfinite(prod)):
+            band = np.vstack([np.r_[0.0, np.sqrt(np.maximum(prod, 0.0))], -self._d])
+            try:
+                sla.cholesky_banded(band, check_finite=False)
+                return True
+            except np.linalg.LinAlgError:
+                if not np.any(prod < 0.0):
+                    return False
+        return super().hurwitz()
 
     def transpose(self):
         return TridiagonalOperator(self._up, self._d, self._lo)
 
     def to_dense(self):
-        if self.n > 20_000:
-            raise DenseInfeasibleError(
-                f"refusing to densify a {self.n}x{self.n} tridiagonal operator")
+        _check_densifiable(self.n)
         return np.diag(self._d) + np.diag(self._lo, -1) + np.diag(self._up, 1)
 
 
 def _panels(n):
     """Row slices of at most ``PANEL_ROWS`` rows that cover ``range(n)``."""
     return [slice(lo, min(lo + PANEL_ROWS, n)) for lo in range(0, n, PANEL_ROWS)]
+
+
+def _check_densifiable(n):
+    if n > 20_000:  # one n-by-n array would take 3.2 GB
+        raise DenseInfeasibleError(f"refusing to densify a {n}x{n} operator")
 
 
 def as_operator(a) -> LinearOperator:
@@ -430,7 +450,7 @@ def solve_lyapunov_dense(a, g):
 
     Parameters
     ----------
-    a : (n, n) array_like
+    a : (n, n) array_like or LinearOperator
         Hurwitz coefficient matrix.
     g : (n, n) array_like
         Symmetric right-hand side.
@@ -442,8 +462,8 @@ def solve_lyapunov_dense(a, g):
     SingularSeparationError
         If some eigenvalue pair satisfies ``lambda_i + lambda_j ~ 0``.
     """
-    a, g = _lyapunov_operands(a, g)
-    t, u = _hurwitz_schur(a)
+    op, g = _lyapunov_operands(a, g)
+    t, u = _hurwitz_schur(op)
     y = _schur_rhs(u, g)
     return _from_schur(u, y, *_trsyl(t, y))
 
@@ -451,36 +471,35 @@ def solve_lyapunov_dense(a, g):
 def solve_lyapunov_pair(a, gp, gq):
     """Solve ``A P + P A^T + G_p = 0`` and ``A^T Q + Q A + G_q = 0``.
 
-    The results are bitwise those of ``solve_lyapunov_dense(a, gp)`` and
-    ``solve_lyapunov_dense(a.T, gq)``, with the errors those calls raise.
-    A symmetric ``A`` gives both equations one Schur form. The two
-    ``trsyl`` back-substitutions run at the same time, Q's on a worker
-    thread (see the module docstring).
+    ``a`` is an array or an operator. The results are bitwise those of
+    ``solve_lyapunov_dense(a, gp)`` and ``solve_lyapunov_dense(a.T, gq)``,
+    with the errors those calls raise. A symmetric ``A`` gives both
+    equations one Schur form. The two ``trsyl`` back-substitutions run at
+    the same time, Q's on a worker thread (see the module docstring).
     """
-    a, gp, gq = _lyapunov_operands(a, gp, gq)
-    tp, up = _hurwitz_schur(a)
-    # schur(a.T) is bitwise schur(a) when A is symmetric
-    tq, uq = (tp, up) if np.array_equal(a, a.T) else _hurwitz_schur(a.T)
+    op, gp, gq = _lyapunov_operands(a, gp, gq)
+    tp, up = _hurwitz_schur(op)
+    a = op.to_dense()
+    # schur(A^T) is bitwise schur(A) when A is symmetric
+    tq, uq = (tp, up) if np.array_equal(a, a.T) else _hurwitz_schur(op.transpose())
     yp, yq = _schur_rhs(up, gp), _schur_rhs(uq, gq)
     p_run, q_run = _on_two_threads(lambda: _trsyl(tp, yp), lambda: _trsyl(tq, yq))
     return _from_schur(up, yp, *p_run), _from_schur(uq, yq, *q_run)
 
 
 def _lyapunov_operands(a, *gs):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"A must be square, got shape {a.shape}")
+    op = as_operator(a)
     gs = [np.asarray(g, dtype=float) for g in gs]
     for g in gs:
-        if g.shape != a.shape:
-            raise ValueError(f"G must match A, got {g.shape} vs {a.shape}")
-    return a, *gs
+        if g.shape != (op.n, op.n):
+            raise ValueError(f"G must match A, got {g.shape} vs {(op.n, op.n)}")
+    return op, *gs
 
 
-def _hurwitz_schur(a):
-    """Real Schur form ``(t, u)`` of ``a``, whose Lyapunov equation is
-    checked to be stable and nonsingular."""
-    t, u = sla.schur(a, output="real")
+def _hurwitz_schur(op):
+    """Real Schur form ``(t, u)`` of the operator ``op``, whose Lyapunov
+    equation is checked to be stable and nonsingular."""
+    t, u = op.schur()
     # LAPACK gives each 2x2 block equal diagonal entries, so diag(t) holds the
     # real parts of the eigenvalues, and min |lambda_i + lambda_j| = -2 re_max
     re_max = np.max(np.diag(t))

@@ -56,8 +56,8 @@ class FreqGrid:
 
     @classmethod
     def default_for(cls, model: StateSpaceModel, count: int = 400) -> "FreqGrid":
-        """Grid spanning [1e-3 |lambda|_min, 1e3 |lambda|_max] of the model's
-        spectrum estimate."""
+        """Grid spanning [1e-3 |lambda|_min, 1e3 |lambda|_max] of
+        ``model.A.eigenvalues``, estimated above ``DENSE_CAP_DEFAULT`` states."""
         lo, hi = _spectrum_abs_range(model)
         return cls.log_spaced(1e-3 * lo, 1e3 * hi, count)
 
@@ -65,11 +65,9 @@ class FreqGrid:
 def _spectrum_abs_range(model):
     op = model.A
     if op.n <= DENSE_CAP_DEFAULT:
-        lam = np.abs(np.linalg.eigvals(op.to_dense()))
+        lam = np.abs(op.eigenvalues)
         lam = lam[lam > 0]
-        if len(lam) == 0:
-            return 1.0, 1.0
-        return float(np.min(lam)), float(np.max(lam))
+        return (float(np.min(lam)), float(np.max(lam))) if len(lam) else (1.0, 1.0)
     # estimate for large operators: power iteration above, inverse power below
     rng = np.random.default_rng(0)
     x = rng.standard_normal(op.n)

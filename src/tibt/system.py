@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DenseInfeasibleError, NonHurwitzError, RepeatedPolesError
 from .linalg import (
     LinearOperator,
+    _check_densifiable,
     as_operator,
     ordered_svd,
     psd_factor,
@@ -154,9 +155,9 @@ def pole_residue(model: StateSpaceModel) -> PoleResidue:
 
 def gramians_dense(model: StateSpaceModel) -> GramianPair:
     """Solve the two Lyapunov equations for the controllability and
-    observability Gramians (dense path)."""
-    p, q = solve_lyapunov_pair(model.A.to_dense(), model.B @ model.B.T,
-                               model.C.T @ model.C)
+    observability Gramians (dense path) through ``model.A.schur()``."""
+    _check_densifiable(model.n)  # before the n-by-n B B^T is made
+    p, q = solve_lyapunov_pair(model.A, model.B @ model.B.T, model.C.T @ model.C)
     return GramianPair(P=p, Q=q)
 
 
@@ -176,9 +177,9 @@ def hankel_singular_values(model: StateSpaceModel) -> np.ndarray:
 def is_hurwitz(model_or_operator) -> bool:
     """True iff all eigenvalues of A have strictly negative real part.
 
-    Derived from the operator's entries: cheaply when
-    :meth:`~tibt.linalg.LinearOperator.hurwitz` decides it (in O(n) for a
-    tridiagonal operator), otherwise from the dense spectrum.
+    Derived from the operator's entries by
+    :meth:`~tibt.linalg.LinearOperator.hurwitz`: in O(n) when a tridiagonal
+    operator's entries decide it, otherwise from its eigenvalues.
 
     Raises
     ------
@@ -187,17 +188,12 @@ def is_hurwitz(model_or_operator) -> bool:
     """
     op = model_or_operator.A if isinstance(model_or_operator, StateSpaceModel) \
         else as_operator(model_or_operator)
-    verdict = op.hurwitz()
-    if verdict is not None:
-        return verdict
     try:
-        a = op.to_dense()
+        return op.hurwitz()
     except DenseInfeasibleError as exc:
         raise DenseInfeasibleError(
             f"cannot check that the {op.n}x{op.n} operator is Hurwitz without "
             "densifying it") from exc
-    lam = np.linalg.eigvals(a)
-    return bool(np.max(lam.real) < 0.0)
 
 
 def require_hurwitz(model_or_operator, what="system matrix"):

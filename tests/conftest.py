@@ -169,13 +169,13 @@ def block_family(seed, n=120):
 def lyapunov_solves(monkeypatch):
     """The dense Lyapunov solves a test makes, as ``(name, n)`` pairs in call
     order: ``name`` is ``"solve_lyapunov_pair"`` or ``"solve_lyapunov_dense"``
-    and ``n`` the order of A."""
+    and ``n`` the order of A, an array or an operator."""
     calls = []
     for fn_name in ("solve_lyapunov_pair", "solve_lyapunov_dense"):
         solve = getattr(tibt.linalg, fn_name)
 
         def counting(a, *gs, solve=solve, fn_name=fn_name):
-            calls.append((fn_name, len(a)))
+            calls.append((fn_name, tibt.linalg.as_operator(a).n))
             return solve(a, *gs)
 
         # every module that imported the solver calls it through its own name

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import damped_chain
 
 import tibt
@@ -474,6 +475,39 @@ class TestDenseGramiansOnce:
             ["solve_lyapunov_dense" if single else "solve_lyapunov_pair"]
 
 
+class TestOneSpectrumPerOperator:
+    @pytest.mark.parametrize("model, schur_forms", [
+        ({"kind": "heat_rod", "n": 200}, 1),
+        # the Hurwitz check, then A and A^T for the Gramians
+        ({"kind": "random_stable", "n": 60, "m": 2, "p": 2, "seed": 1}, 3),
+    ], ids=["heat_rod", "random_stable"])
+    def test_compare_derives_the_spectrum_once(self, tmp_path, monkeypatch, model,
+                                               schur_forms):
+        """Every n-by-n Schur form and eigenvalue solve of ``compare``: the
+        eigenvalues of A are read off a Schur factor T, never solved from A."""
+        n = model["n"]
+        factors, spectra = [], []
+        schur, eigvals = scipy.linalg.schur, np.linalg.eigvals
+
+        def counting_schur(a, *args, **kwargs):
+            t, u = schur(a, *args, **kwargs)
+            if t.shape == (n, n):
+                factors.append(t)
+            return t, u
+
+        def counting_eigvals(a):
+            if np.shape(a) == (n, n) and not any(a is t for t in factors):
+                spectra.append(a)
+            return eigvals(a)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        cfg = write_config(tmp_path, model=model, task="compare", tols=[1e-3],
+                           grid_points=60, output_dir=str(tmp_path / "out"))
+        assert main(["compare", cfg]) == 0
+        assert (len(factors), len(spectra)) == (schur_forms, 0)
+
+
 class TestSolveLyap:
     def test_heat_rod_errors_csv(self, tmp_path):
         out = tmp_path / "out"
@@ -489,6 +523,17 @@ class TestSolveLyap:
         header, hrows = read_csv(out / "history.csv")
         assert header[:3] == ["k", "i", "r"]
         assert len(hrows) >= 1
+
+    def test_reference_refused_above_densification_limit(self, tmp_path, capsys):
+        # dense_cap admits the dense reference, but A is too large to
+        # densify: the refusal comes before the n-by-n B B^T is formed
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "heat_rod", "n": 30_000},
+                           task="solve-lyap", dense_cap=50_000, output_dir=str(out))
+        assert main(["run", cfg]) == 1
+        assert capsys.readouterr().err == \
+            "error: refusing to densify a 30000x30000 operator\n"
+        assert not out.exists()
 
     def test_q_side(self, tmp_path):
         out = tmp_path / "out"

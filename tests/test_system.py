@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import tibt
 from tibt.errors import DenseInfeasibleError, RepeatedPolesError
-from tibt.linalg import TridiagonalOperator
+from tibt.linalg import LinearOperator, TridiagonalOperator
 
 
 def scalar_model():
@@ -116,6 +118,22 @@ class TestGramians:
             ["solve_lyapunov_pair"]
         assert model.gramians is model.gramians
 
+    @pytest.mark.parametrize("solve", [tibt.gramians_dense,
+                                       lambda model: model.gramians],
+                             ids=["gramians_dense", "model.gramians"])
+    def test_refusal_allocates_nothing_n_by_n(self, solve):
+        # one 30000x30000 array would take 6.7 GiB; B B^T must not be formed
+        # before the operator refuses to densify
+        model = tibt.heat_rod(30_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseInfeasibleError):
+                solve(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestHankelSingularValues:
     def test_scalar(self):
@@ -216,11 +234,15 @@ class TestIsHurwitz:
         assert not tibt.is_hurwitz(op)
 
     def test_tridiagonal_agrees_with_dense_spectrum(self, monkeypatch):
-        # off-diagonal products of both signs; a decided verdict is exact,
-        # and an undecided one falls back to the dense spectrum
+        # off-diagonal products of both signs; a verdict the O(n) Cholesky
+        # decides is exact, and the others fall back to the eigenvalues
         self._linear_time_only(monkeypatch, densify=True)
+        schur_forms = []
+        schur = LinearOperator.schur
+        monkeypatch.setattr(LinearOperator, "schur",
+                            lambda op: schur_forms.append(op) or schur(op))
         rng = np.random.default_rng(12)
-        verdicts = []
+        verdicts, fallbacks = set(), set()
         for _ in range(200):
             n = int(rng.integers(1, 40))
             negative = rng.random(n - 1) < rng.choice([0.0, 0.3, 1.0])
@@ -229,10 +251,17 @@ class TestIsHurwitz:
             diag = rng.standard_normal(n) - 1.5
             op = TridiagonalOperator(lower, diag, upper)
             dense = bool(np.max(np.linalg.eigvals(op.to_dense()).real) < 0.0)
-            verdicts.append(op.hurwitz())
-            assert verdicts[-1] is None or verdicts[-1] is dense
+            assert op.hurwitz() is dense
+            verdicts.add(dense)
+            fallbacks.add(op in schur_forms)
             assert tibt.is_hurwitz(op) is dense
-        assert {True, False, None} <= set(verdicts)
+        assert verdicts == fallbacks == {True, False}
+
+    def test_overflowing_products_use_dense_spectrum(self):
+        # lower * upper = 1e400 overflows; the eigenvalues -1e300 +- 1e200
+        # decide it
+        op = TridiagonalOperator([1e200], [-1e300, -1e300], [1e200])
+        assert tibt.is_hurwitz(op) is True
 
     def test_small_negative_products_use_dense_spectrum(self):
         # lower * upper < 0: a rotation-like coupling with complex
@@ -256,7 +285,16 @@ class TestIsHurwitz:
         op = TridiagonalOperator(np.where(np.arange(n - 1) % 2 == 0, 4.0, -1.0),
                                  np.full(n, -1.0), np.full(n - 1, 1.0))
         self._linear_time_only(monkeypatch, densify=True)
-        assert op.hurwitz() is None
+        factorizations = []
+        cholesky = scipy.linalg.cholesky_banded
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", lambda *args, **kwargs:
+                            factorizations.append(args) or cholesky(*args, **kwargs))
+        # the O(n) Cholesky fails, so the eigenvalues are asked for, which
+        # refuses to densify
+        with pytest.raises(DenseInfeasibleError,
+                           match=r"^refusing to densify a 30000x30000 operator$"):
+            op.hurwitz()
+        assert len(factorizations) == 1
         with pytest.raises(DenseInfeasibleError,
                            match=r"^cannot check that the 30000x30000 operator is "
                                  r"Hurwitz without densifying it$"):

@@ -30,7 +30,12 @@ r = 4), then ``bt_square_root``, ``tcr`` and ``tor`` on ``illustrative4``
 ``random_stable(60, 2, 2, 7)`` at the mirror images of the poles of its
 ``bt_square_root`` of order r, along that ROM's residual directions
 (``pole_residue``, then ``InterpolationData.from_points``), for r = 2, 4,
-..., 20, hashed as the truncations are.
+..., 20, hashed as the truncations are. Last of all, one line for each model
+of the ``alrs_lyap``/``atia_bt`` matrix with at most 5000 states (every one
+but ``heat_rod(10^4)`` and ``heat_rod(10^5)``): ``FreqGrid.default_for`` and
+the label, then ``grid=`` and the SHA-256 of the default frequency grid's
+points, which come from the model's eigenvalues; a change to how the
+spectrum is derived shows there.
 
 ``tibt`` is imported from ``PYTHONPATH``, so running this script against two
 checkouts' ``src`` and diffing the outputs checks that a change leaves the
@@ -207,6 +212,12 @@ def main():
                       lambda hist, result: _truncation(
                           tibt.tangential_interpolate, (model, data), hist, result)),
               flush=True)
+    for label, make, _, _ in _models():
+        model = make()
+        if model.n <= 5000:
+            grid = hashlib.sha256()
+            _feed(grid, tibt.FreqGrid.default_for(model).points)
+            print(f"FreqGrid.default_for {label} grid={grid.hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":
