@@ -16,6 +16,11 @@ through :func:`~tibt.reducers.square_root_pair`, and reflects each side's
 projected matrix and each ROM, where it forms it, into the left half-plane,
 so ``A`` need not be dissipative and every ROM it interpolates at or
 returns is Hurwitz (on a dissipative ``A`` both reflections are no-ops).
+With one side and a symmetric ``A`` (``LinearOperator.symmetric``) the
+Galerkin ROM is symmetric in exact arithmetic, and the sweep makes it
+exactly so, ``(Ar + Ar^T) / 2`` after the reflection: its poles are real,
+and the next sweep's Sylvester solve decouples into r independent shifted
+solves (:func:`~tibt.linalg.solve_sylvester_skinny`).
 
 Within a stage the basis grows append-only: new directions are
 orthogonalized against it by block classical Gram-Schmidt with
@@ -350,6 +355,8 @@ def _sweep(cfg, sides, on_iteration):
             on_iteration(ladder.history[-1], *(basis.v for basis in bases), *new)
         vr, wr = square_root_pair(zp, zq, svd, ladder.r)
         ar = reflect_spectrum(wr.T @ wav @ vr)
+        if one_sided and vb.op.symmetric:  # a symmetric A: decoupled solves
+            ar = (ar + ar.T) / 2
         br, cr = wr.T @ wtb, cv @ vr
         if ladder.done(svd[1]):
             return ladder, bases, ((ar, br, cr), (vr, wr), svd[1])

@@ -8,7 +8,7 @@ restored before the solve returns. An operator's first
 :meth:`~LinearOperator.schur` form caches its ``eigenvalues``, which the
 library first reads on the calling thread, never in ``_on_two_threads``.
 
-Thread contract. Five calls split their work into two independent halves
+Thread contract. Six calls split their work into two independent halves
 and run one half on a worker thread while the calling thread runs the
 other, through one private helper, ``_on_two_threads``. It starts exactly
 one worker thread (never a pool), joins it before returning, and raises
@@ -18,6 +18,10 @@ worker halves are:
 - :func:`solve_lyapunov_pair`: the ``trsyl`` back-substitution of Q. It
   writes only its own right-hand-side array and may share the
   quasi-triangular factor with the caller's back-substitution, read-only.
+- :func:`solve_sylvester_skinny` with an exactly symmetric ``M``: the
+  shifted solves of the second half of the columns of ``Y = X U``. Each
+  half reads ``A`` and the eigenvalues of ``M``, and writes only its own
+  columns of the workspace ``Y`` and the arrays its solves allocate.
 - :func:`tibt.reducers.tangential_interpolate`, which :func:`tibt.reducers.tsia`
   calls, and :func:`tibt.reducers.solve_coupling_pair`, which
   :func:`tibt.reducers.h2_optimality_residuals` calls: the W side's ``A^T``
@@ -42,7 +46,8 @@ depend on how the two threads are scheduled.
 Memory. The kernels on n-row data keep each n-row array they make only as
 long as they read it. :func:`solve_sylvester_skinny` takes its right-hand
 side by its two factors, forms it, and frees it after carrying it into the
-Schur basis, and an operator's ``apply``/``apply_transpose`` write into
+Schur basis (a symmetric ``M`` carries the factor ``H`` instead and never
+forms it), and an operator's ``apply``/``apply_transpose`` write into
 ``out`` when given, such as the spare columns of a basis buffer.
 """
 
@@ -220,12 +225,19 @@ class LinearOperator(ABC):
         """Whether every one of :attr:`eigenvalues` has Re < 0."""
         return bool(np.max(self.eigenvalues.real) < 0.0)
 
+    @functools.cached_property
+    def symmetric(self) -> bool:
+        """Whether the operator equals its transpose exactly; False unless
+        the operator can tell without densifying."""
+        return False
+
     def schur(self):
         """Real Schur form ``(T, U)`` of :meth:`to_dense`; the first call
-        keeps ``eigvals(T)`` as :attr:`eigenvalues`, not ``T`` or ``U``."""
+        keeps the eigenvalues of ``T`` as :attr:`eigenvalues`, not ``T`` or
+        ``U``."""
         t, u = sla.schur(self.to_dense(), output="real")
         if "eigenvalues" not in self.__dict__:
-            self.eigenvalues = np.linalg.eigvals(t)
+            self.eigenvalues = _schur_eigenvalues(t)
         return t, u
 
     @functools.cached_property
@@ -241,6 +253,19 @@ class LinearOperator(ABC):
     @abstractmethod
     def to_dense(self) -> np.ndarray:
         """Materialize the operator as a dense array."""
+
+
+def _schur_eigenvalues(t):
+    """Eigenvalues of a standardized real Schur factor ``t``, in O(n): its
+    diagonal, and ``a +- i sqrt(|b|) sqrt(|c|)`` for each 2x2 block ``[[a,
+    b], [c, a]]``, as LAPACK's ``dlanv2`` gives them; the square roots keep
+    the imaginary part finite where ``b c`` would overflow."""
+    lam = np.diag(t).astype(complex)
+    low = np.flatnonzero(np.diag(t, -1)) + 1  # the lower row of each block
+    im = np.sqrt(np.abs(t[low - 1, low])) * np.sqrt(np.abs(t[low, low - 1]))
+    lam[low - 1] += 1j * im
+    lam[low] -= 1j * im
+    return lam
 
 
 def _copy_into(y, out):
@@ -297,6 +322,10 @@ class DenseOperator(LinearOperator):
         if info != 0:
             raise ShiftSolveFailure(f"(A - sI) singular for s = {s}")
         return _check_solution_finite(x)
+
+    @functools.cached_property
+    def symmetric(self):
+        return np.array_equal(self._m, self._m.T)
 
     def transpose(self):
         return DenseOperator(self._m.T)
@@ -416,6 +445,10 @@ class TridiagonalOperator(LinearOperator):
                     return False
         return super().hurwitz()
 
+    @functools.cached_property
+    def symmetric(self):
+        return np.array_equal(self._lo, self._up)
+
     def transpose(self):
         return TridiagonalOperator(self._up, self._d, self._lo)
 
@@ -479,9 +512,8 @@ def solve_lyapunov_pair(a, gp, gq):
     """
     op, gp, gq = _lyapunov_operands(a, gp, gq)
     tp, up = _hurwitz_schur(op)
-    a = op.to_dense()
     # schur(A^T) is bitwise schur(A) when A is symmetric
-    tq, uq = (tp, up) if np.array_equal(a, a.T) else _hurwitz_schur(op.transpose())
+    tq, uq = (tp, up) if op.symmetric else _hurwitz_schur(op.transpose())
     yp, yq = _schur_rhs(up, gp), _schur_rhs(uq, gq)
     p_run, q_run = _on_two_threads(lambda: _trsyl(tp, yp), lambda: _trsyl(tq, yq))
     return _from_schur(up, yp, *p_run), _from_schur(uq, yq, *q_run)
@@ -631,6 +663,18 @@ def _complex_pair_solve(op, tblock, lam, rhs):
     return np.column_stack([y1, y2])
 
 
+@contextmanager
+def _naming_overlap(lam):
+    """Turn a failed shifted solve at ``-lam`` into the spectrum of A
+    meeting the eigenvalue ``-lam`` of ``-M``."""
+    try:
+        yield
+    except ShiftSolveFailure as exc:
+        # + 0 turns a -0 part into 0
+        raise SpectrumOverlapError(
+            f"spectrum of A meets eigenvalue {-lam + 0:.6g} of -M") from exc
+
+
 def solve_sylvester_skinny(a, m, g, h):
     """Solve the skinny-tall Sylvester equation ``A X + X M^T + F = 0`` for
     ``F = G H``.
@@ -642,7 +686,10 @@ def solve_sylvester_skinny(a, m, g, h):
     most two n-by-r arrays at once. ``M`` is reduced to real Schur form and
     the columns of ``X`` are obtained by back-substitution, each requiring
     one shifted solve with ``A`` (a single complex solve per 2x2 block
-    keeps the result exactly real).
+    keeps the result exactly real). An exactly symmetric ``M`` takes its
+    Schur form from ``eigh`` instead, so ``T`` is diagonal and the columns
+    are r independent real solves, which run in two halves on two threads
+    (see the module docstring); ``F`` is then never formed.
 
     Raises
     ------
@@ -664,6 +711,8 @@ def solve_sylvester_skinny(a, m, g, h):
         raise ValueError(f"G and H must be ({op.n}, m) and (m, {r}), "
                          f"got {g.shape} and {h.shape}")
 
+    if np.array_equal(m, m.T):
+        return _solve_decoupled(op, m, g, h)
     t, u = sla.schur(m, output="real")
     f = g @ h
     # each block's right-hand side is updated in place, then overwritten by
@@ -681,16 +730,32 @@ def solve_sylvester_skinny(a, m, g, h):
         lam = t[jb, jb]  # the block's eigenvalue, the upper one of a pair
         if pair:
             lam = lam + 1j * np.sqrt(-(t[jb, jb + 1] * t[jb + 1, jb]))
-        try:
+        with _naming_overlap(lam):
             if pair:
                 y[:, jb:jb + 2] = _complex_pair_solve(op, t[jb:jb + 2, jb:jb + 2], lam, rhs)
             else:
                 y[:, jb] = op.shifted_solve(-lam, -rhs[:, 0])
-        except ShiftSolveFailure as exc:
-            # + 0 turns a -0 part into 0
-            raise SpectrumOverlapError(
-                f"spectrum of A meets eigenvalue {-lam + 0:.6g} of -M") from exc
         j = jb - 1
+    return y @ u.T
+
+
+def _solve_decoupled(op, m, g, h):
+    """:func:`solve_sylvester_skinny` for a symmetric ``M = U diag(lam)
+    U^T``: column j of ``Y = X U`` solves ``(A + lam_j I) y_j = -(F U)_j``.
+    The workspace ``Y`` starts as ``-G (H U)``, Fortran-ordered, so each
+    column is one contiguous right-hand side, and each solution overwrites
+    its column: the first half of the columns on the calling thread, the
+    rest on a worker."""
+    lam, u = np.linalg.eigh(m)
+    y = ((-(h @ u)).T @ g.T).T
+
+    def solve(cols):
+        for j in cols:
+            with _naming_overlap(lam[j]):
+                y[:, j] = op.shifted_solve(-lam[j], y[:, j])
+
+    half = (len(lam) + 1) // 2
+    _on_two_threads(lambda: solve(range(half)), lambda: solve(range(half, len(lam))))
     return y @ u.T
 
 

@@ -410,3 +410,32 @@ class TestSweep:
         assert len(projected) == sides * len(history)
         assert len(unchanged) == len(projected)
         assert all(unchanged)
+
+    def test_one_sided_sweeps_on_a_symmetric_a_interpolate_at_symmetric_roms(
+            self, monkeypatch):
+        # every sweep after the first interpolates at the reflected Galerkin
+        # ROM, kept exactly symmetric; the first, at the seed's random start,
+        # does not
+        ms = []
+        solve = tibt.alrs.solve_sylvester_skinny
+        monkeypatch.setattr(tibt.alrs, "solve_sylvester_skinny",
+                            lambda op, m, g, h: ms.append(m) or solve(op, m, g, h))
+        m = tibt.heat_rod(1000)
+        res = tibt.alrs_lyap(m.A, m.B, AlrsConfig(r0=2, dr=2, tol=1e-5, seed=0))
+        assert res.converged
+        assert len(ms) == res.iterations_used
+        assert not np.array_equal(ms[0], ms[0].T)
+        assert all(np.array_equal(a, a.T) for a in ms[1:])
+
+    @pytest.mark.parametrize("run", [
+        lambda: tibt.atia_bt(tibt.heat_rod(1000), AlrsConfig(tol=1e-5, seed=0)),
+        lambda: tibt.alrs_lyap(block_family(0).A, block_family(0).B,
+                               AlrsConfig(tol=1e-6, seed=0)),
+    ], ids=["atia_bt-heat_rod", "alrs_lyap-block_family"])
+    def test_other_sweeps_keep_the_schur_loop(self, run, monkeypatch):
+        # two-sided sweeps and a non-symmetric A never decouple the solve
+        decoupled = []
+        monkeypatch.setattr(tibt.linalg, "_solve_decoupled",
+                            lambda *args: decoupled.append(args))
+        run()
+        assert decoupled == []

@@ -1,10 +1,11 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import kron_lyapunov, kron_sylvester, max_principal_angle
+from conftest import CountingOperator, kron_lyapunov, kron_sylvester, max_principal_angle
 
 from tibt import linalg
 from tibt.benchmarks import heat_rod
@@ -353,6 +354,32 @@ class TestRealSchurStandardized:
     def test_heat_rod_has_no_blocks(self):
         assert self.blocks(heat_rod(50).A.to_dense()) == []
 
+    def test_eigenvalues_read_off_t(self):
+        # the diagonal, and a +- i sqrt(|b|) sqrt(|c|) per block, in the
+        # order eigvals(T) gives them
+        for n in range(2, 41):
+            t = sla.schur(np.random.default_rng(n).standard_normal((n, n)), output="real")[0]
+            want = np.linalg.eigvals(t)
+            got = linalg._schur_eigenvalues(t)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_eigenvalues_of_a_diagonal_t_are_bitwise(self):
+        t = heat_rod(300).A.schur()[0]
+        assert np.array_equal(linalg._schur_eigenvalues(t), np.linalg.eigvals(t))
+
+    def test_eigenvalues_of_a_block_with_overflowing_product(self):
+        # b c = -2**2000 overflows; each square root is exact
+        big = 2.0**1000
+        t = np.array([[-1.0, big], [-big, -1.0]])
+        assert np.array_equal(linalg._schur_eigenvalues(t), [-1.0 + big * 1j, -1.0 - big * 1j])
+
+    def test_schur_solves_no_eigenvalue_problem(self, monkeypatch):
+        op = DenseOperator(random_hurwitz(60, 1))
+        want = np.linalg.eigvals(sla.schur(op.to_dense(), output="real")[0])
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: pytest.fail("eigvals called"))
+        op.schur()
+        assert np.max(np.abs(op.eigenvalues - want)) <= 1e-15 * np.max(np.abs(want))
+
 
 class TestSolveSylvesterSkinny:
     def test_scalar(self):
@@ -452,6 +479,141 @@ class TestSolveSylvesterSkinny:
         with pytest.raises(ValueError, match=r"^M must be square, got shape \(2, 3\)$"):
             solve_sylvester_skinny(heat_rod(4).A, np.ones((2, 3)), np.ones((4, 1)),
                                    np.ones((1, 2)))
+
+
+class TestSolveSylvesterSymmetric:
+    """An exactly symmetric M takes its Schur form from eigh: r independent
+    real shifted solves, in two halves on two threads."""
+
+    @staticmethod
+    def symmetric_hurwitz(r, seed):
+        m = random_hurwitz(r, seed)
+        return (m + m.T) / 2
+
+    @staticmethod
+    def no_schur(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a symmetric M took the general Schur form")
+
+        monkeypatch.setattr(linalg.sla, "schur", refuse)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 5, 7])
+    @pytest.mark.parametrize("kind", ["dense", "tridiagonal"])
+    def test_matches_kronecker_oracle(self, kind, r, monkeypatch):
+        rng = np.random.default_rng(100 + r)
+        n = 30
+        if kind == "dense":
+            a = random_hurwitz(n, 200 + r)
+        else:  # A itself need not be symmetric
+            a = TridiagonalOperator(rng.standard_normal(n - 1), -3.0 - rng.random(n),
+                                    rng.standard_normal(n - 1))
+        m = self.symmetric_hurwitz(r, 300 + r)
+        g, h = rng.standard_normal((n, 2)), rng.standard_normal((2, r))
+        self.no_schur(monkeypatch)
+        x = solve_sylvester_skinny(a, m, g, h)
+        dense = a if kind == "dense" else a.to_dense()
+        expected = kron_sylvester(dense, m, g @ h)
+        assert x.shape == (n, r)
+        assert np.linalg.norm(x - expected) <= 1e-12 * max(np.linalg.norm(expected), 1.0)
+
+    def test_threads_do_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a = heat_rod(500).A
+        m = self.symmetric_hurwitz(7, 5)
+        g, h = rng.standard_normal((500, 1)), rng.standard_normal((1, 7))
+        threaded = solve_sylvester_skinny(a, m, g, h)
+        halves = []
+        monkeypatch.setattr(linalg, "_on_two_threads",
+                            lambda here, there: halves.append(1) or (here(), there()))
+        assert np.array_equal(solve_sylvester_skinny(a, m, g, h), threaded)
+        assert halves == [1]
+
+    @pytest.mark.parametrize("make", [DenseOperator, lambda a: TridiagonalOperator(
+        np.zeros(len(a) - 1), np.diag(a), np.zeros(len(a) - 1))], ids=["dense", "tridiagonal"])
+    # eigh sorts M's eigenvalues: the largest is solved on the worker, the
+    # smallest on the calling thread
+    @pytest.mark.parametrize("eigs, named", [
+        ([1.0, -7.0, -6.0, -5.0], "-1"),
+        ([-4.0, -6.0, -10.0, -5.0], "10"),
+    ], ids=["worker-half", "caller-half"])
+    def test_overlap_in_either_half_names_its_eigenvalue(self, make, eigs, named,
+                                                         monkeypatch):
+        # A + lam I is singular for lam = 1 (A's -1) and lam = -10 (A's 10)
+        a = make(np.diag([-1.0, -2.0, -3.0, 10.0]))
+        threads = []
+        helper = linalg._on_two_threads
+
+        def recording(here, there):
+            def on(half):
+                threads.append(threading.current_thread())
+                return half()
+            return helper(lambda: on(here), lambda: on(there))
+
+        monkeypatch.setattr(linalg, "_on_two_threads", recording)
+        before = threading.active_count()
+        with pytest.raises(SpectrumOverlapError, match=f"^spectrum of A meets eigenvalue "
+                                                       f"{named} of -M$"):
+            solve_sylvester_skinny(a, np.diag(eigs), np.ones((4, 1)), np.ones((1, 4)))
+        assert threading.active_count() == before
+        assert len(set(threads)) == 2
+
+    def test_each_half_holds_only_its_own_solve(self):
+        # F is never formed: the peak is the n-by-r workspace beside the
+        # result, or beside each half's four n-vectors (the solve's
+        # right-hand side, shifted diagonal and two off-diagonal casts) and
+        # its finiteness mask, 8 and 12.25 n-vectors for r = 4
+        n, r = 100_000, 4
+        a = heat_rod(n).A
+        rng = np.random.default_rng(6)
+        m = self.symmetric_hurwitz(r, 7)
+        g, h = rng.standard_normal((n, 1)), rng.standard_normal((1, r))
+        vector = 8 * n
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            x = solve_sylvester_skinny(a, m, g, h)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (n, r)
+        assert peak <= max(2 * r, r + 2 * 4) * vector + 2 * n + 65536
+
+    def test_concurrent_callers_get_their_own_results(self):
+        # each call's two halves write disjoint columns of its own workspace
+        rng = np.random.default_rng(9)
+        cases = [(heat_rod(300 + 50 * k).A, self.symmetric_hurwitz(3 + k, 10 + k),
+                  rng.standard_normal((300 + 50 * k, 1)), rng.standard_normal((1, 3 + k)))
+                 for k in range(4)]
+        expected = [solve_sylvester_skinny(*case) for case in cases]
+        results = [None] * len(cases)
+
+        def run(i):
+            for _ in range(3):
+                results[i] = solve_sylvester_skinny(*cases[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for got, want in zip(results, expected):
+            assert np.array_equal(got, want)
+
+    def test_non_symmetric_m_keeps_the_schur_loop(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "_solve_decoupled",
+                            lambda *args: calls.append(args))
+        m = self.symmetric_hurwitz(3, 8)
+        m[0, 1] = np.nextafter(m[0, 1], 0.0)  # one unit in the last place off
+        solve_sylvester_skinny(heat_rod(20).A, m, np.ones((20, 1)), np.ones((1, 3)))
+        assert calls == []
 
 
 class TestOrthonormalize:
@@ -976,6 +1138,41 @@ class TestOperators:
     def test_transpose_roundtrip(self):
         op = TridiagonalOperator([1.0, 2.0], [-4.0, -5.0, -6.0], [3.0, 0.5])
         assert np.allclose(op.transpose().to_dense(), op.to_dense().T)
+
+    @pytest.mark.parametrize("lower, upper, symmetric", [
+        ([1.0, 2.0], [1.0, 2.0], True),
+        ([1.0, 2.0], [2.0, 1.0], False),
+        ([0.0, 2.0], [-0.0, 2.0], True),  # -0.0 equals 0.0
+        ([1.0, 2.0], [1.0, np.nextafter(2.0, 3.0)], False),
+        ([], [], True),
+    ], ids=["equal", "swapped", "signed-zero", "one-ulp", "one-state"])
+    def test_tridiagonal_symmetric(self, lower, upper, symmetric):
+        op = TridiagonalOperator(lower, -4.0 - np.arange(len(lower) + 1.0), upper)
+        assert op.symmetric is symmetric
+        assert op.transpose().symmetric is symmetric
+        assert symmetric == np.array_equal(op.to_dense(), op.to_dense().T)
+
+    @pytest.mark.parametrize("matrix, symmetric", [
+        ([[-2.0, 1.0], [1.0, -3.0]], True),
+        ([[-2.0, 1.0], [0.5, -3.0]], False),
+        ([[-2.0, 0.0, 1.0], [-0.0, -3.0, 0.0], [1.0, -0.0, -4.0]], True),
+        ([[-2.0]], True),
+    ], ids=["symmetric", "non-symmetric", "signed-zeros", "one-state"])
+    def test_dense_symmetric(self, matrix, symmetric, monkeypatch):
+        op = DenseOperator(matrix)
+        monkeypatch.setattr(DenseOperator, "to_dense", lambda self: pytest.fail("copied"))
+        assert op.symmetric is symmetric
+        assert op.transpose().symmetric is symmetric
+
+    def test_symmetric_is_cached(self):
+        op = heat_rod(50).A
+        assert op.symmetric is True
+        op._up = -op._up  # the cached fact is not recomputed
+        assert op.symmetric is True
+
+    def test_symmetric_defaults_to_unknown(self):
+        # an operator that does not override it makes no claim
+        assert CountingOperator(heat_rod(5).A).symmetric is False
 
     @pytest.mark.parametrize("make, message", [
         (lambda: DenseOperator(np.ones(3)), r"expected a square matrix, got shape \(3,\)"),

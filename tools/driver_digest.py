@@ -7,8 +7,13 @@ Runs ``alrs_lyap`` and ``atia_bt`` over a fixed matrix of models, tolerances
 and seeds and prints one line per run: its label, the SHA-256 of its ladder
 history (every ``IterationRecord``) and the SHA-256 of every result array;
 for a reduced model that includes its transfer function at ``EVAL_POINTS``
-(``eval_transfer``), so a change to the shifted solves shows too.
-When the run raises, both are the SHA-256 of the exception text. The matrix
+(``eval_transfer``), so a change to the shifted solves shows too. Beside
+the hashes a line gives, in clear text, the run's sweep count
+(``sweeps=``, for the adaptive drivers and ``tsia``) and its order
+(``order=``, the factor's rank for ``alrs_lyap``), so a moved hash shows
+whether the ladder changed or only its values.
+When the run raises, both are the SHA-256 of the exception text and the
+clear-text fields are left out. The matrix
 is ``heat_rod`` (n = 400, 1000, 2000, 10^4) and ``random_stable(n, 2, 2, 5)``
 (n = 80, 150, 300) at tol 1e-4, 1e-5, 1e-6 and seeds 0 and 3 (84 runs), then
 ``heat_rod(10^5)`` at tol 1e-5, seeds 0 and 7 (the ``bt_rod_100k`` benchmark
@@ -145,31 +150,36 @@ def _alrs(model, cfg, hist, result):
     for arr in (res.factor.basis, res.factor.core, res.residual, res.converged):
         _feed(result, arr)
     _feed_history(hist, res.singular_history)
+    return f" sweeps={res.iterations_used} order={res.factor.rank}"
 
 
 def _atia(model, cfg, hist, result):
     res = tibt.atia_bt(model, cfg)
     _feed_reduced(result, res.rom)
     _feed_history(hist, res.history)
+    return f" sweeps={len(res.history)} order={res.rom.r}"
 
 
 def _tsia(model, r, seed, hist, result):
     red = tibt.tsia(model, tibt.random_stable(r, model.m, model.p, seed))
     _feed_reduced(result, red)
     _feed(hist, red.iterations)
+    return f" sweeps={red.iterations} order={red.r}"
 
 
 def _truncation(reduce, args, hist, result):
     red = reduce(*args)
     _feed_reduced(result, red)
     _feed(hist, red.r)
+    return f" order={red.r}"
 
 
 def _digest(label, run):
-    """The line of one run: ``run(hist, result)`` feeds both hashes."""
-    hist, result, note = hashlib.sha256(), hashlib.sha256(), ""
+    """The line of one run: ``run(hist, result)`` feeds both hashes and
+    returns the clear-text fields."""
+    hist, result = hashlib.sha256(), hashlib.sha256()
     try:
-        run(hist, result)
+        note = run(hist, result)
     except Exception as exc:  # the digest records the failure
         hist = result = hashlib.sha256(f"{type(exc).__name__}: {exc}".encode())
         note = f" raised {type(exc).__name__}"
