@@ -315,9 +315,9 @@ def _rebiorthogonalize(vb, wb, wv):
 def _sweep(cfg, sides, on_iteration):
     """The mirror-image fixed point over one :class:`_Basis` per side of
     ``sides``, ``((A, B),)`` (Galerkin: W is V) or ``((A, B), (A^T, C^T))``,
-    from the seed's ``random_stable(r0, m, p, seed)``, m and p the columns
-    of the first and last ``b`` (an empty B keeps an empty start B; one side
-    never reads C). Each side's :meth:`_Basis.grow` gives its new
+    from the seed's ``random_stable(min(r0, n), m, p, seed)``, m and p the
+    columns of the first and last ``b`` (an empty B keeps an empty start B;
+    one side never reads C). Each side's :meth:`_Basis.grow` gives its new
     directions, and the hook gets ``(record, *bases, *new_directions)``.
     Each sweep forms one ROM and reflects its ``Ar`` once; the next sweep
     interpolates at that ROM. Returns the ladder, the bases and, unless a
@@ -327,7 +327,8 @@ def _sweep(cfg, sides, on_iteration):
     bases = tuple(_Basis(op, b) for op, b in sides)
     vb, wb = bases[0], bases[-1]
     one_sided = wb is vb
-    start = random_stable(cfg.r0, max(vb.b.shape[1], 1), max(wb.b.shape[1], 1), cfg.seed)
+    start = random_stable(min(cfg.r0, vb.op.n), max(vb.b.shape[1], 1),
+                          max(wb.b.shape[1], 1), cfg.seed)
     ar, br, cr = start.A.to_dense(), start.B[:, :vb.b.shape[1]], start.C
     while True:
         if one_sided:

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alrs import AlrsConfig, IterationRecord, _sweep
-from .errors import DenseInfeasibleError
-from .metrics import DENSE_CAP_DEFAULT
 from .reducers import ReducedModel
 from .system import StateSpaceModel, hankel_singular_values, require_hurwitz
 
@@ -88,22 +86,14 @@ def atia_bt(model: StateSpaceModel, cfg: AtiaConfig, on_iteration=None) -> AtiaR
     return AtiaResult(rom=red, history=ladder.history)
 
 
-def atia_hsv_compare(result: AtiaResult, model: StateSpaceModel,
-                     dense_cap: int = DENSE_CAP_DEFAULT):
-    """Tabulate the run's Hankel estimates against dense ground truth.
+def atia_hsv_compare(result: AtiaResult, model: StateSpaceModel):
+    """Tabulate the run's Hankel estimates against dense ground truth, the
+    Hankel values of ``model.gramians``; those refuse above
+    ``linalg.DENSE_MAX_ORDER`` states before forming anything n-by-n.
 
     Returns a list of ``(index, estimate, dense, rel_diff)`` rows, one per
-    retained value. Requires the model to be small enough for dense Gramian
-    computation.
-
-    Raises
-    ------
-    DenseInfeasibleError
-        If ``model.n`` exceeds ``dense_cap``.
+    retained value.
     """
-    if model.n > dense_cap:
-        raise DenseInfeasibleError(
-            f"n = {model.n} exceeds dense cap {dense_cap}")
     dense = hankel_singular_values(model)
     rows = []
     for idx, est in enumerate(result.hankel_estimates, start=1):

@@ -13,6 +13,7 @@ convergence (artifacts are still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -219,10 +220,6 @@ def _history_rows(history):
     return rows
 
 
-def _default_grid(model, cfg):
-    return FreqGrid.default_for(model, count=cfg.get("grid_points", 400))
-
-
 def run_task(cfg, seed, out_dir):
     """Execute one experiment; returns (exit_code, artifact dict)."""
     task = cfg["task"]
@@ -231,6 +228,8 @@ def run_task(cfg, seed, out_dir):
     model = build_model(cfg, seed)
     dense_cap = cfg.get("dense_cap", DENSE_CAP_DEFAULT)
     dense_ok = model.n <= dense_cap
+    default_grid = functools.partial(FreqGrid.default_for, model, dense_cap=dense_cap,
+                                     count=cfg.get("grid_points", 400))
     artifacts = {}
     code = 0
 
@@ -254,14 +253,13 @@ def run_task(cfg, seed, out_dir):
         result = atia_bt(model, algs[0])
         artifacts["hsv.csv"] = (("index", "value"),
                                 _hsv_rows(result.hankel_estimates))
-        err_rows = [("hinf_rel_error_vs_original",
-                     _fmt(hinf_rel_error(model, result.rom.rom,
-                                         _default_grid(model, cfg))),
-                     str(result.rom.r))]
-        if dense_ok:
-            table = atia_hsv_compare(result, model, dense_cap=dense_cap)
+        err_rows = []
+        if dense_ok:  # first, so that the grid reads its Schur form's eigenvalues
+            table = atia_hsv_compare(result, model)
             worst = max((row[3] for row in table), default=0.0)
             err_rows.append(("hsv_max_rel_diff", _fmt(worst), str(result.rom.r)))
+        hinf = hinf_rel_error(model, result.rom.rom, default_grid())
+        err_rows.insert(0, ("hinf_rel_error_vs_original", _fmt(hinf), str(result.rom.r)))
         artifacts["errors.csv"] = (("metric", "value", "r"), err_rows)
         artifacts["history.csv"] = (("k", "i", "r", "s_top", "s_last", "ratio"),
                                     _history_rows(result.history))
@@ -272,9 +270,8 @@ def run_task(cfg, seed, out_dir):
         red = reducer(model, min(cfg["r"], model.n))
         r = _produced_order(task, red, cfg["r"], model.n)
         artifacts["hsv.csv"] = (("index", "value"), _hsv_rows(red.retained_sv))
-        err_rows = [("hinf_rel_error",
-                     _fmt(hinf_rel_error(model, red.rom,
-                                         _default_grid(model, cfg))), str(r))]
+        hinf = hinf_rel_error(model, red.rom, default_grid())
+        err_rows = [("hinf_rel_error", _fmt(hinf), str(r))]
         if dense_ok and task != "dense-bt":
             exact = model.gramians.P if task == "tcr" else model.gramians.Q
             basis = red.Vr if task == "tcr" else red.Wr
@@ -283,7 +280,7 @@ def run_task(cfg, seed, out_dir):
                              _fmt(gramian_rel_error(exact, approx)), str(r)))
         if dense_ok:
             err_rows.append(("pq_rel_error",
-                             _fmt(pq_rel_error(model, red, dense_cap)),
+                             _fmt(pq_rel_error(model, red)),
                              str(r)))
         artifacts["errors.csv"] = (("metric", "value", "r"), err_rows)
 
@@ -310,7 +307,7 @@ def run_task(cfg, seed, out_dir):
         results = [atia_bt(model, alg) for alg in algs]
         bt_roms = [bt_square_root(model, res.rom.r).rom for res in results]
         ratios = hinf_rel_error(model, [res.rom.rom for res in results] + bt_roms,
-                                _default_grid(model, cfg))
+                                default_grid())
         atia_ratios, bt_ratios = ratios[:len(results)], ratios[len(results):]
         rows = [(_fmt(tol), str(res.rom.r), _fmt(atia_ratio), _fmt(bt_ratio),
                  str(res.converged).lower())
@@ -398,8 +395,8 @@ def main(argv=None) -> int:
             json.dump(run_echo, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return code
-    except TibtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TibtError, MemoryError) as exc:  # MemoryError: the config asked too much
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

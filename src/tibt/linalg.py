@@ -98,6 +98,8 @@ ORTH_DROP_RTOL = 1e-12
 # cache between the operations that share it.
 PANEL_ROWS = 4096
 
+DENSE_MAX_ORDER = 20_000  # the largest order densified; n-by-n takes 3.2 GB
+
 # Eigenvalues of a PSD matrix below this fraction of the largest one are
 # clipped to zero when factoring.
 PSD_CLIP_RTOL = 1e-14
@@ -463,7 +465,7 @@ def _panels(n):
 
 
 def _check_densifiable(n):
-    if n > 20_000:  # one n-by-n array would take 3.2 GB
+    if n > DENSE_MAX_ORDER:
         raise DenseInfeasibleError(f"refusing to densify a {n}x{n} operator")
 
 

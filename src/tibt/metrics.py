@@ -1,5 +1,7 @@
 """Error measures: Gramian errors, PQ-product error, sampled H-infinity
-ratio, and frequency sweeps.
+ratio, and frequency sweeps. Their dense work is ``model.gramians``, refused
+above ``linalg.DENSE_MAX_ORDER`` states, and the exact eigenvalues that the
+default grid reads up to its ``dense_cap``.
 
 The H-infinity quantities are computed by sampling a log-spaced frequency
 grid and refining around the peak, so they are lower bounds on the true
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenseInfeasibleError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .linalg import _on_two_threads
 from .reducers import ReducedModel
 from .system import StateSpaceModel, eval_transfer
@@ -28,6 +30,7 @@ __all__ = [
     "sigma_sweep",
 ]
 
+# Largest order whose default grid reads the exact eigenvalues of A.
 DENSE_CAP_DEFAULT = 5000
 
 # Relative bracket width at which golden-section peak refinement stops.
@@ -55,16 +58,18 @@ class FreqGrid:
         return cls(points=np.logspace(np.log10(lo), np.log10(hi), count))
 
     @classmethod
-    def default_for(cls, model: StateSpaceModel, count: int = 400) -> "FreqGrid":
+    def default_for(cls, model: StateSpaceModel, count: int = 400,
+                    dense_cap: int = DENSE_CAP_DEFAULT) -> "FreqGrid":
         """Grid spanning [1e-3 |lambda|_min, 1e3 |lambda|_max] of
-        ``model.A.eigenvalues``, estimated above ``DENSE_CAP_DEFAULT`` states."""
-        lo, hi = _spectrum_abs_range(model)
+        ``model.A.eigenvalues`` up to ``dense_cap`` states, estimated by power
+        and inverse iteration above. Those eigenvalues come from the first
+        Schur form of ``A``, which the dense Gramians may have made already."""
+        lo, hi = _spectrum_abs_range(model.A, dense_cap)
         return cls.log_spaced(1e-3 * lo, 1e3 * hi, count)
 
 
-def _spectrum_abs_range(model):
-    op = model.A
-    if op.n <= DENSE_CAP_DEFAULT:
+def _spectrum_abs_range(op, dense_cap):
+    if op.n <= dense_cap:
         lam = np.abs(op.eigenvalues)
         lam = lam[lam > 0]
         return (float(np.min(lam)), float(np.max(lam))) if len(lam) else (1.0, 1.0)
@@ -97,12 +102,11 @@ def gramian_rel_error(p_exact, approx) -> float:
     return float(num / den)
 
 
-def pq_rel_error(model: StateSpaceModel, red: ReducedModel,
-                 dense_cap: int = DENSE_CAP_DEFAULT) -> float:
+def pq_rel_error(model: StateSpaceModel, red: ReducedModel) -> float:
     """Relative spectral-norm error of the Gramian product,
-    ``||PQ - (V Pr V^T)(W Qr W^T)||_2 / ||PQ||_2``."""
-    if model.n > dense_cap:
-        raise DenseInfeasibleError(f"n = {model.n} exceeds dense cap {dense_cap}")
+    ``||PQ - (V Pr V^T)(W Qr W^T)||_2 / ||PQ||_2``, from ``model.gramians``;
+    those refuse above ``linalg.DENSE_MAX_ORDER`` states before forming
+    anything n-by-n."""
     gram, rom_gram = model.gramians, red.rom.gramians
     approx = (red.Vr @ rom_gram.P @ red.Vr.T) @ (red.Wr @ rom_gram.Q @ red.Wr.T)
     exact = gram.P @ gram.Q
@@ -131,9 +135,8 @@ def _memoized_response(model):
 
 def _refine_peak(fun, grid: FreqGrid):
     """Sampled peak of ``fun`` over the grid, golden-section refined around
-    the arg-max down to ``REFINE_REL_RESOLUTION``. Returns (peak_value,
-    peak_frequency). The odd-indexed grid points are sampled on a worker
-    thread (see :mod:`tibt.linalg`)."""
+    the arg-max down to ``REFINE_REL_RESOLUTION``. The odd-indexed grid
+    points are sampled on a worker thread (see :mod:`tibt.linalg`)."""
     pts = grid.points
     vals = np.empty(len(pts))
 
@@ -143,7 +146,7 @@ def _refine_peak(fun, grid: FreqGrid):
 
     _on_two_threads(lambda: sample(0), lambda: sample(1))
     idx = int(np.argmax(vals))
-    best_v, best_w = vals[idx], pts[idx]
+    best_v = vals[idx]
     lo = pts[idx - 1] if idx > 0 else pts[0]
     hi = pts[idx + 1] if idx + 1 < len(pts) else pts[-1]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -160,10 +163,8 @@ def _refine_peak(fun, grid: FreqGrid):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fun(np.exp(d))
-        if max(fc, fd) > best_v:
-            best_v = max(fc, fd)
-            best_w = np.exp(c if fc > fd else d)
-    return float(best_v), float(best_w)
+        best_v = max(best_v, fc, fd)
+    return float(best_v)
 
 
 def hinf_rel_error(model: StateSpaceModel,
@@ -184,18 +185,25 @@ def hinf_rel_error(model: StateSpaceModel,
     ------
     ValueError
         If ``rom`` is an empty sequence.
+    DimensionMismatchError
+        If a reduced model has other input or output counts than ``model``.
     """
     single = isinstance(rom, StateSpaceModel)
     roms = [rom] if single else list(rom)
     if not roms:
         raise ValueError("need at least one reduced model")
+    for red in roms:
+        if (red.p, red.m) != (model.p, model.m):
+            raise DimensionMismatchError(
+                f"reduced model is {red.p}x{red.m} (outputs x inputs), "
+                f"model is {model.p}x{model.m}")
     if grid is None:
         grid = FreqGrid.default_for(model)
     full = _memoized_response(model)
-    den, _ = _refine_peak(lambda w: _sigma_max(full(w)), grid)
+    den = _refine_peak(lambda w: _sigma_max(full(w)), grid)
     ratios = []
     for red in roms:
-        num, _ = _refine_peak(
+        num = _refine_peak(
             lambda w: _sigma_max(full(w) - eval_transfer(red, 1j * w)), grid)
         if den == 0.0:
             ratios.append(0.0 if num == 0.0 else np.inf)

@@ -385,6 +385,21 @@ class TestSweep:
         assert calls == [(2, 2, 2, 3)]
 
     @pytest.mark.parametrize("driver", DRIVERS.values(), ids=DRIVERS.keys())
+    def test_start_order_capped_at_n(self, driver, monkeypatch):
+        # r0 above n starts from an order-n ROM, not an r0-column solve
+        orders = []
+        random_stable = tibt.alrs.random_stable
+
+        def recording(n, *args):
+            orders.append(n)
+            return random_stable(n, *args)
+
+        monkeypatch.setattr(tibt.alrs, "random_stable", recording)
+        _, run = driver
+        run(tibt.heat_rod(10), AlrsConfig(r0=500, tol=1e-4, seed=0))
+        assert orders == [10]
+
+    @pytest.mark.parametrize("driver", DRIVERS.values(), ids=DRIVERS.keys())
     @pytest.mark.parametrize("make", DISSIPATIVE_MODELS.values(), ids=DISSIPATIVE_MODELS.keys())
     def test_projected_reflection_is_a_no_op_on_dissipative_a(self, make, driver, monkeypatch):
         # a Galerkin projection of a dissipative A is Hurwitz, so each side's

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import tibt.atia
 import tibt.linalg
 from tibt.atia import AtiaConfig, atia_hsv_compare
 from tibt.errors import DenseInfeasibleError, SpectrumOverlapError
+from tibt.linalg import DENSE_MAX_ORDER
 from tibt.reducers import solve_coupling_pair
 
 
@@ -349,8 +351,16 @@ class TestAtiaHsvCompare:
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
         assert [row[0] for row in table] == list(range(1, res.rom.r + 1))
 
-    def test_dense_cap_enforced(self):
-        m = tibt.heat_rod(300)
-        res = self._result_for(m, tol=1e-4, seed=0)
-        with pytest.raises(DenseInfeasibleError):
-            atia_hsv_compare(res, m, dense_cap=100)
+    def test_refused_above_dense_max_order(self):
+        # the refusal comes from the model's Gramians, before anything n-by-n
+        m = tibt.heat_rod(DENSE_MAX_ORDER + 1)
+        res = self._result_for(tibt.heat_rod(300), tol=1e-4, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseInfeasibleError,
+                               match=f"^refusing to densify a {m.n}x{m.n} operator$"):
+                atia_hsv_compare(res, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

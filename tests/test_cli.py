@@ -507,6 +507,65 @@ class TestOneSpectrumPerOperator:
         assert main(["compare", cfg]) == 0
         assert (len(factors), len(spectra)) == (schur_forms, 0)
 
+    def test_atia_bt_grid_reads_the_gramians_schur_form(self, tmp_path, monkeypatch):
+        # the dense reference comes first, so the grid reads the eigenvalues
+        # of its Schur form; the rows keep their order
+        n = 300
+        forms = []
+        schur = scipy.linalg.schur
+
+        def counting_schur(a, *args, **kwargs):
+            forms.append(np.shape(a))
+            return schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "heat_rod", "n": n}, task="atia-bt",
+                           alg={"tol": 1e-4}, grid_points=60, output_dir=str(out))
+        assert main(["run", cfg]) == 0
+        assert forms.count((n, n)) == 1
+        _, rows = read_csv(out / "errors.csv")
+        assert [row[0] for row in rows] == ["hinf_rel_error_vs_original",
+                                            "hsv_max_rel_diff"]
+
+    def test_grid_above_dense_cap_makes_no_schur_form(self, tmp_path, monkeypatch):
+        # the run's dense_cap also keeps the grid from the exact eigenvalues
+        schur = tibt.linalg.LinearOperator.schur
+
+        def guarded_schur(op):
+            assert op.n <= 100, f"{op.n}x{op.n} Schur form above dense_cap"
+            return schur(op)
+
+        monkeypatch.setattr(tibt.linalg.LinearOperator, "schur", guarded_schur)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "heat_rod", "n": 3000},
+                           task="atia-bt", dense_cap=100, output_dir=str(out))
+        assert main(["run", cfg]) == 0
+        _, rows = read_csv(out / "errors.csv")
+        assert [row[0] for row in rows] == ["hinf_rel_error_vs_original"]
+
+
+class TestAllocationFailure:
+    @pytest.mark.parametrize("message, printed", [
+        ("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+         "and data type float64",) * 2,
+        ("", "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_exits_one_without_artifacts(self, tmp_path, capsys, monkeypatch,
+                                         message, printed):
+        # the grid's np.logspace fails as a 10^11-point grid would; nothing
+        # is really allocated
+        def failing(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(np, "logspace", failing)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, model={"kind": "heat_rod", "n": 30},
+                           task="dense-bt", r=4, grid_points=10**11, output_dir=str(out))
+        assert main(["run", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {printed}\n"
+        assert not out.exists()
+
 
 class TestSolveLyap:
     def test_heat_rod_errors_csv(self, tmp_path):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import run_inline
 
 import tibt
 from tibt.errors import DenseInfeasibleError, DimensionMismatchError, ShiftSolveFailure
+from tibt.linalg import DENSE_MAX_ORDER
 from tibt.metrics import DENSE_CAP_DEFAULT, FreqGrid
 
 
@@ -117,10 +119,19 @@ class TestPqRelError:
         expected = np.linalg.norm(p @ q - approx, 2) / np.linalg.norm(p @ q, 2)
         assert abs(computed - expected) <= 1e-10 * max(expected, 1e-30)
 
-    def test_dense_cap_enforced(self):
-        m = tibt.illustrative4()
-        with pytest.raises(DenseInfeasibleError, match="^n = 4 exceeds dense cap 3$"):
-            tibt.pq_rel_error(m, tibt.bt_square_root(m, 2), dense_cap=3)
+    def test_refused_above_dense_max_order(self):
+        # the refusal comes from the model's Gramians, before anything n-by-n
+        m = tibt.heat_rod(DENSE_MAX_ORDER + 1)
+        red = tibt.bt_square_root(tibt.heat_rod(20), 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseInfeasibleError,
+                               match=f"^refusing to densify a {m.n}x{m.n} operator$"):
+                tibt.pq_rel_error(m, red)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_monotone_in_order_for_bt(self):
         m = tibt.random_stable(30, 2, 2, seed=64)
@@ -288,6 +299,19 @@ class TestHinfRelErrorSequence:
         m = scalar_model()
         with pytest.raises(ValueError):
             tibt.hinf_rel_error(m, [])
+
+    @pytest.mark.parametrize("single", [True, False], ids=["rom", "sequence"])
+    def test_other_input_output_shape_rejected(self, monkeypatch, single):
+        # a 1x2 ROM against a 1x1 model would broadcast; refused before any
+        # grid or solve
+        m = tibt.random_stable(20, 1, 1, 0)
+        rom = tibt.random_stable(3, 2, 1, 1)
+        monkeypatch.setattr(FreqGrid, "default_for", None)
+        monkeypatch.setattr(tibt.metrics, "eval_transfer", None)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^reduced model is 1x2 \(outputs x inputs\), "
+                                 r"model is 1x1$"):
+            tibt.hinf_rel_error(m, rom if single else [m, rom])
 
 
 class TestSigmaSweep:

@@ -42,6 +42,14 @@ the label, then ``grid=`` and the SHA-256 of the default frequency grid's
 points, which come from the model's eigenvalues; a change to how the
 spectrum is derived shows there.
 
+Then the CLI: for each ``tibt.cli.main`` job of the benchmark workloads in
+``bench/workloads.py`` (the configs of ``WORKLOADS[name](seed, "full",
+tmpdir).configs()``) at CLI seeds 0-2, and for ``atia-bt`` on
+``heat_rod(1000)`` with its dense reference at seed 0, one line per CSV the
+run writes: ``tibt``, the command, the job and seed, its exit code, and the
+CSV's name with the SHA-256 of its bytes. The runs write only under a
+temporary directory, which is removed at the end.
+
 ``tibt`` is imported from ``PYTHONPATH``, so running this script against two
 checkouts' ``src`` and diffing the outputs checks that a change leaves the
 results bitwise unchanged, or moves only the result hash. One BLAS thread is
@@ -55,13 +63,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "bench")]
 
 import tibt  # noqa: E402
+import tibt.cli  # noqa: E402
+import workloads  # noqa: E402
 from conftest import block_family, damped_chain, light_chain  # noqa: E402
 
 TOLS = (1e-4, 1e-5, 1e-6)
@@ -120,6 +133,34 @@ def _interpolation_cases():
         data = tibt.InterpolationData.from_points(-pr.poles, pr.right,
                                                   -pr.poles, np.conj(pr.left))
         yield f"random_stable(60,2,2,7) bt_square_root mirror r={r}", m, data
+
+
+def _cli_jobs(tmp):
+    """``(label, command, config, seed)`` of each CLI run whose CSVs are
+    hashed."""
+    for name, workload in workloads.WORKLOADS.items():
+        if hasattr(workload, "configs"):  # a job issued through tibt.cli.main
+            for seed in (0, 1, 2):
+                for tag, command, cfg in workload(seed, "full", tmp).configs():
+                    yield f"{name}/{tag} seed={seed}", command, cfg, seed
+    yield ("atia-bt heat_rod(1000) seed=0", "run",
+           {"model": {"kind": "heat_rod", "n": 1000}, "task": "atia-bt"}, 0)
+
+
+def _cli_digests(tmp):
+    for idx, (label, command, cfg, seed) in enumerate(_cli_jobs(tmp)):
+        path, out = os.path.join(tmp, f"{idx}.json"), os.path.join(tmp, f"out{idx}")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        code = tibt.cli.main([command, path, "--output-dir", out, "--seed", str(seed)])
+        names = sorted(f for f in os.listdir(out) if f.endswith(".csv")) \
+            if os.path.isdir(out) else []
+        if not names:  # a failed run writes nothing
+            print(f"tibt {command} {label} exit={code}", flush=True)
+        for name in names:
+            with open(os.path.join(out, name), "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            print(f"tibt {command} {label} exit={code} {name}={digest}", flush=True)
 
 
 def _feed(h, x):
@@ -228,6 +269,8 @@ def main():
             grid = hashlib.sha256()
             _feed(grid, tibt.FreqGrid.default_for(model).points)
             print(f"FreqGrid.default_for {label} grid={grid.hexdigest()}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        _cli_digests(tmp)
 
 
 if __name__ == "__main__":
