@@ -26,9 +26,12 @@ Within a stage the basis grows append-only: new directions are
 orthogonalized against it by block classical Gram-Schmidt with
 reorthogonalization, ``A`` is applied to the new columns only, and the
 projected matrix ``V^T A V`` is bordered rather than recomputed, so a sweep
-costs O(n k j) for a k-column basis and j new columns. A run allocates its
-n-row data once (:class:`_Basis`), and the extension is blocked by row
-panels (:func:`~tibt.linalg.extend_orthonormal`).
+costs O(n k j) for a k-column basis and j new columns. A one-sided sweep
+keeps no ``A V``: the product with the new columns lives only while it
+borders ``V^T A V``, and on a non-symmetric ``A`` the new columns also meet
+``A^T`` once. A run allocates its n-row buffers once (:class:`_Basis`), and
+the extension is blocked by row panels
+(:func:`~tibt.linalg.extend_orthonormal`).
 """
 
 from __future__ import annotations
@@ -200,13 +203,11 @@ def lowrank_lyapunov_residual(a, b, factor: LowRankGramian) -> float:
     """
     op = as_operator(a)
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    return _factored_residual(factor.basis, _beside(op.apply(factor.basis @ factor.core), b))
-
-
-def _beside(u1, b):
-    """``[U1, B]`` in one fresh Fortran-ordered array."""
-    out = np.empty((len(u1), u1.shape[1] + b.shape[1]), order="F")
-    return np.concatenate([u1, b], axis=1, out=out)
+    u1 = op.apply(factor.basis @ factor.core)
+    x = np.empty((op.n, u1.shape[1] + b.shape[1]), order="F")
+    np.concatenate([u1, b], axis=1, out=x)
+    del u1  # x is the residual's only copy of A V C
+    return _factored_residual(factor.basis, x)
 
 
 def _factored_residual(v, x):
@@ -242,19 +243,21 @@ def _reserve(buf, k, j):
 
 class _Basis:
     """Orthonormal trial basis ``V`` of one side, grown append-only, with
-    ``A V``, ``V^T A V`` and ``V^T B`` kept in step for the side's operator
-    ``op`` (``A``, or ``A^T`` for W) and n-by-m ``b`` (``B``, or ``C^T``):
-    adding j columns to a k-column basis costs O(n k j), and ``op`` sees the
-    new columns only. One instance serves a whole run: :meth:`restart`
-    empties it for the next stage but keeps the buffers of ``V`` and ``A V``,
-    which grow only when a stage outgrows every earlier one.
+    ``V^T A V`` and ``V^T B`` kept in step for the side's operator ``op``
+    (``A``, or ``A^T`` for W) and n-by-m ``b`` (``B``, or ``C^T``): adding j
+    columns to a k-column basis costs O(n k j), and ``op`` sees the new
+    columns only. With ``images`` the basis also keeps ``A V``, which a
+    two-sided sweep reads for ``W^T A V``; a one-sided one keeps only the
+    ``V`` buffer. One instance serves a whole run: :meth:`restart` empties
+    it for the next stage but keeps its buffers, which grow only when a
+    stage outgrows every earlier one.
     """
 
-    def __init__(self, op, b):
+    def __init__(self, op, b, images=False):
         self.op = op
         self.b = b
         self._v = np.empty((b.shape[0], 0), order="F")
-        self._av = np.empty((b.shape[0], 0), order="F")
+        self._av = np.empty((b.shape[0], 0), order="F") if images else None
         self.restart()
 
     def restart(self, new=None):
@@ -276,16 +279,29 @@ class _Basis:
     def extend(self, new):
         """Absorb the directions of ``new`` not yet in the span of ``V``,
         bordering ``V^T A V`` with the two off-diagonal blocks and the new
-        diagonal block. The new columns are formed in place in the spare
-        columns of the ``V`` buffer, and their product with ``A`` in the
-        spare columns of the ``A V`` buffer."""
+        diagonal block. The new columns ``q`` are formed in place in the
+        spare columns of the ``V`` buffer. ``A q`` goes to the spare columns
+        of the ``A V`` buffer where the basis keeps one, and the lower-left
+        block is ``q^T A V``; without it ``A q`` is transient, and that block
+        is ``(V^T A q)^T`` for a symmetric ``A``, which keeps ``V^T A V``
+        exactly symmetric, or ``(A^T q)^T V``."""
         k, j = self.k, new.shape[1]
         self._v = _reserve(self._v, k, j)
-        self._av = _reserve(self._av, k, j)
-        v, av = self._v[:, :k], self._av[:, :k]
+        v = self._v[:, :k]
         q = extend_orthonormal(v, new, out=self._v[:, k:k + j])
-        aq = self.op.apply(q, out=self._av[:, k:k + q.shape[1]])
-        self.ak = np.block([[self.ak, v.T @ aq], [q.T @ av, q.T @ aq]])
+        if self._av is not None:
+            self._av = _reserve(self._av, k, j)
+            aq = self.op.apply(q, out=self._av[:, k:k + q.shape[1]])
+            vaq, qav, qaq = v.T @ aq, q.T @ self._av[:, :k], q.T @ aq
+        else:
+            aq = self.op.apply(q)
+            vaq, qaq = v.T @ aq, q.T @ aq
+            del aq  # freed before A^T q is formed
+            if self.op.symmetric:
+                qav, qaq = vaq.T, (qaq + qaq.T) / 2
+            else:
+                qav = self.op.apply_transpose(q).T @ v
+        self.ak = np.block([[self.ak, vaq], [qav, qaq]])
         self.bk = np.vstack([self.bk, q.T @ self.b])
         self.k += q.shape[1]
 
@@ -324,7 +340,8 @@ def _sweep(cfg, sides, on_iteration):
     basis came out empty, the last ``(Ar, Br, Cr)``, its pair ``(Vr, Wr)``
     in basis coordinates and its ordered singular values."""
     ladder = _RankLadder(cfg)
-    bases = tuple(_Basis(op, b) for op, b in sides)
+    # a two-sided sweep reads W^T A V off A^T W, so its bases keep A V
+    bases = tuple(_Basis(op, b, images=len(sides) > 1) for op, b in sides)
     vb, wb = bases[0], bases[-1]
     one_sided = wb is vb
     start = random_stable(min(cfg.r0, vb.op.n), max(vb.b.shape[1], 1),
@@ -377,9 +394,10 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
     largest, or flags ``converged=False`` when ``k_max`` is exhausted. The
     factor is the last sweep's square-root truncation, with core
     ``diag(values)``: the Gramian of the truncated projection. The run's
-    basis buffers are freed once the factor and ``A`` times it are formed,
-    before the residual makes its own n-row arrays, so the result is the
-    only n-row data the run leaves behind.
+    basis buffer is freed once the factor is formed, before the residual
+    (:func:`lowrank_lyapunov_residual`) applies ``A`` to the factor's r
+    columns and makes its own n-row arrays, so the result is the only
+    n-row data the run leaves behind.
 
     ``on_iteration``, when given, is called once per sweep with
     ``(record, basis, new_directions)`` for diagnostics; it must not mutate
@@ -405,13 +423,7 @@ def alrs_lyap(a, b, cfg: AlrsConfig, on_iteration=None) -> AlrsResult:
         s = sv[:small.shape[1]]
     # a balanced truncation's Gramian is diag of its retained values
     factor = LowRankGramian(basis=basis.v @ small, core=np.diag(s))
-    # each n-row buffer is freed after its last read, before the residual
-    # makes its own n-row arrays
-    basis._v = None
-    u1 = basis.av @ (small * s)  # A V C from the A V the basis already holds
-    basis._av = None
-    x = _beside(u1, b)
-    del u1  # x is the residual's only copy of A V C
-    residual = _factored_residual(factor.basis, x)
+    basis._v = None  # freed before the residual makes its own n-row arrays
     return AlrsResult(factor=factor, singular_history=ladder.history,
-                      converged=ladder.converged, residual=residual)
+                      converged=ladder.converged,
+                      residual=lowrank_lyapunov_residual(op, b, factor))

@@ -73,10 +73,10 @@ def two_qr_lyapunov_residual(a, b, factor):
 
 
 class CountingOperator(tibt.LinearOperator):
-    """Delegates to ``inner`` and counts the columns passed to ``apply`` and
-    ``apply_transpose`` in ``cols``, which its transpose shares. The count
-    is locked: an operator and its transpose may be applied on two threads
-    at once."""
+    """Delegates to ``inner``, ``symmetric`` included, and counts the columns
+    passed to ``apply`` and ``apply_transpose`` in ``cols``, which its
+    transpose shares. The count is locked: an operator and its transpose
+    may be applied on two threads at once."""
 
     def __init__(self, inner, cols=None, lock=None):
         self.inner = inner
@@ -90,6 +90,10 @@ class CountingOperator(tibt.LinearOperator):
     @property
     def n(self):
         return self.inner.n
+
+    @property
+    def symmetric(self):
+        return self.inner.symmetric
 
     def apply(self, x, out=None):
         self._count(x)

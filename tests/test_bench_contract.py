@@ -87,9 +87,6 @@ def traced_drivers(tracing):
     return tracer.layer_metrics({None})
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the tracer wraps lowrank_lyapunov_residual, but "
-                          "alrs_lyap calls _factored_residual")
 def test_traced_drivers_record_the_lyapunov_residual(tracing):
     assert traced_drivers(tracing)["alrs.residual_s"] > 0
 

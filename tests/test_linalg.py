@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import CountingOperator, kron_lyapunov, kron_sylvester, max_principal_angle
+from conftest import kron_lyapunov, kron_sylvester, max_principal_angle
 
 from tibt import linalg
 from tibt.benchmarks import heat_rod
@@ -20,6 +20,7 @@ from tibt.linalg import (
     ORTH_DROP_RTOL,
     PANEL_ROWS,
     DenseOperator,
+    LinearOperator,
     TridiagonalOperator,
     cgs2,
     extend_orthonormal,
@@ -1171,8 +1172,16 @@ class TestOperators:
         assert op.symmetric is True
 
     def test_symmetric_defaults_to_unknown(self):
-        # an operator that does not override it makes no claim
-        assert CountingOperator(heat_rod(5).A).symmetric is False
+        # an operator that does not override it makes no claim, even when
+        # its dense form is symmetric
+        class Opaque(LinearOperator):
+            n = 2
+            apply = apply_transpose = shifted_solve = transpose = None
+
+            def to_dense(self):
+                return -np.eye(2)
+
+        assert Opaque().symmetric is False
 
     @pytest.mark.parametrize("make, message", [
         (lambda: DenseOperator(np.ones(3)), r"expected a square matrix, got shape \(3,\)"),

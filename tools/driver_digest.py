@@ -11,7 +11,10 @@ for a reduced model that includes its transfer function at ``EVAL_POINTS``
 the hashes a line gives, in clear text, the run's sweep count
 (``sweeps=``, for the adaptive drivers and ``tsia``) and its order
 (``order=``, the factor's rank for ``alrs_lyap``), so a moved hash shows
-whether the ladder changed or only its values.
+whether the ladder changed or only its values. An ``alrs_lyap`` line also
+gives the ``repr`` of its reported residual (``residual=``) and of its top
+singular-value estimate (``sigma1=``), so a round-off move can be read off
+the diff of two outputs.
 When the run raises, both are the SHA-256 of the exception text and the
 clear-text fields are left out. The matrix
 is ``heat_rod`` (n = 400, 1000, 2000, 10^4) and ``random_stable(n, 2, 2, 5)``
@@ -191,7 +194,9 @@ def _alrs(model, cfg, hist, result):
     for arr in (res.factor.basis, res.factor.core, res.residual, res.converged):
         _feed(result, arr)
     _feed_history(hist, res.singular_history)
-    return f" sweeps={res.iterations_used} order={res.factor.rank}"
+    sigma1 = float(res.values[0]) if res.values.size else None
+    return (f" sweeps={res.iterations_used} order={res.factor.rank}"
+            f" residual={res.residual!r} sigma1={sigma1!r}")
 
 
 def _atia(model, cfg, hist, result):
