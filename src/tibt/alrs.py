@@ -31,7 +31,7 @@ keeps no ``A V``: the product with the new columns lives only while it
 borders ``V^T A V``, and on a non-symmetric ``A`` the new columns also meet
 ``A^T`` once. A run allocates its n-row buffers once (:class:`_Basis`), and
 the extension is blocked by row panels
-(:func:`~tibt.linalg.extend_orthonormal`).
+(:func:`~tibt.linalg.orthonormalize` of the new directions against ``V``).
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from .linalg import (
     _on_two_threads,
     as_operator,
     cgs2,
-    extend_orthonormal,
     ordered_svd,
+    orthonormalize,
     psd_factor,
     solve_lyapunov_dense,
     solve_sylvester_skinny,
@@ -207,15 +207,9 @@ def lowrank_lyapunov_residual(a, b, factor: LowRankGramian) -> float:
     x = np.empty((op.n, u1.shape[1] + b.shape[1]), order="F")
     np.concatenate([u1, b], axis=1, out=x)
     del u1  # x is the residual's only copy of A V C
-    return _factored_residual(factor.basis, x)
-
-
-def _factored_residual(v, x):
-    """:func:`lowrank_lyapunov_residual` of ``V C V^T`` given the
-    Fortran-ordered ``x = [A V C, B]``, which it projects in place."""
-    k = v.shape[1]
+    k = factor.rank
     den = np.linalg.norm(x[:, k:], 2) ** 2
-    c, _, rs = cgs2(v, x, out=x)
+    c, _, rs = cgs2(factor.basis, x, out=x)
     r2 = np.linalg.qr(rs, mode="r")
     cu, cb = c[:, :k], c[:, k:]
     r2u, r2b = r2[:, :k], r2[:, k:]
@@ -288,7 +282,7 @@ class _Basis:
         k, j = self.k, new.shape[1]
         self._v = _reserve(self._v, k, j)
         v = self._v[:, :k]
-        q = extend_orthonormal(v, new, out=self._v[:, k:k + j])
+        q = orthonormalize(new, v, out=self._v[:, k:k + j])
         if self._av is not None:
             self._av = _reserve(self._av, k, j)
             aq = self.op.apply(q, out=self._av[:, k:k + q.shape[1]])

@@ -13,6 +13,7 @@ convergence (artifacts are still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -52,7 +53,7 @@ _TASK_KEYS = {
 
 TASKS = tuple(_TASK_KEYS)
 
-_ALG_KEYS = {"r0", "dr", "tol", "i_max", "k_max", "seed"}
+_ALG_KEYS = {f.name for f in dataclasses.fields(AlrsConfig)}
 
 # Smallest largest-|entry| of B or C whose squares stay normal floats.
 _COUPLING_FLOOR = float(np.sqrt(np.finfo(float).tiny))

@@ -83,7 +83,6 @@ __all__ = [
     "solve_sylvester_skinny",
     "orthonormalize",
     "cgs2",
-    "extend_orthonormal",
     "psd_factor",
     "ordered_svd",
     "flushes_subnormals",
@@ -94,7 +93,7 @@ __all__ = [
 ORTH_DROP_RTOL = 1e-12
 
 # Rows per panel in the row-blocked passes over n-row data (tridiagonal
-# products, :func:`cgs2`, :func:`extend_orthonormal`): a panel stays in
+# products, :func:`cgs2`, :func:`orthonormalize`): a panel stays in
 # cache between the operations that share it.
 PANEL_ROWS = 4096
 
@@ -761,18 +760,6 @@ def _solve_decoupled(op, m, g, h):
     return y @ u.T
 
 
-def orthonormalize(m):
-    """Orthonormal basis of the numerical range of ``m`` (n-by-k, k' <= k):
-    :func:`extend_orthonormal` of the empty basis, so directions whose
-    pivot falls below ``ORTH_DROP_RTOL`` times the largest input column
-    norm are dropped and a (numerically) zero input yields an empty basis.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    return extend_orthonormal(np.zeros((m.shape[0], 0)), m)
-
-
 def cgs2(q, x, out=None):
     """Project ``x`` off the span of orthonormal ``q`` by block classical
     Gram-Schmidt with one reorthogonalization pass ("twice is enough").
@@ -808,43 +795,48 @@ def cgs2(q, x, out=None):
     return c + c2, y, np.vstack(rs)
 
 
-def extend_orthonormal(q, new, out=None):
-    """Orthonormal columns that extend orthonormal ``q`` (n-by-k) to a basis
-    of the numerical range of ``[q, new]``; ``q`` itself is never changed.
+def orthonormalize(m, basis=None, out=None):
+    """Orthonormal columns that extend the orthonormal ``basis`` (n-by-k,
+    none by default) to a basis of the numerical range of ``[basis, m]``;
+    ``basis`` itself is never changed, and a (numerically) zero ``m`` adds
+    no column.
 
-    ``new`` is projected off ``q`` by :func:`cgs2`. A column-pivoted QR runs
-    on the small stack of panel R factors that :func:`cgs2` returns, which
-    has the R factor of the remainder; directions whose pivot falls below
-    ``ORTH_DROP_RTOL`` times the largest column norm of ``[q, new]`` (the
-    columns of ``q`` have unit norm) are dropped. The kept columns
-    ``rem[:, perm] @ inv(R11)`` get one more projection off ``q`` and a
-    Cholesky-QR pass: that product loses orthogonality in proportion to the
-    condition of ``R11``, and a remainder just above the drop threshold
-    would lose orthogonality to ``q`` in proportion to how much it shrank.
-    Three panel passes form the product with the projection coefficients,
-    then the projection with the Gram matrix, then the Cholesky-QR product,
-    all in the storage of the remainder: ``out`` when given (an n-by-j
-    Fortran-ordered array that overlaps neither input, such as the spare
-    columns of a basis buffer), so the result is its leading columns. Costs
-    O(n k j + n j^2) for j new columns, independent of how the basis was
-    built. The result is Fortran-ordered.
+    ``m`` is projected off ``basis`` by :func:`cgs2`. A column-pivoted QR
+    runs on the small stack of panel R factors that :func:`cgs2` returns,
+    which has the R factor of the remainder; directions whose pivot falls
+    below ``ORTH_DROP_RTOL`` times the largest column norm of
+    ``[basis, m]`` (the columns of ``basis`` have unit norm) are dropped.
+    The kept columns ``rem[:, perm] @ inv(R11)`` get one more projection off
+    ``basis`` and a Cholesky-QR pass: that product loses orthogonality in
+    proportion to the condition of ``R11``, and a remainder just above the
+    drop threshold would lose orthogonality to ``basis`` in proportion to
+    how much it shrank. Three panel passes form the product with the
+    projection coefficients, then the projection with the Gram matrix, then
+    the Cholesky-QR product, all in the storage of the remainder: ``out``
+    when given (an n-by-j Fortran-ordered array that overlaps neither input,
+    such as the spare columns of a basis buffer), so the result is its
+    leading columns. Costs O(n k j + n j^2) for j columns of ``m``,
+    independent of how the basis was built. The result is Fortran-ordered.
     """
-    q = np.asarray(q, dtype=float)
-    new = np.asarray(new, dtype=float)
-    if q.ndim != 2 or new.ndim != 2 or q.shape[0] != new.shape[0]:
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {m.shape}")
+    n = m.shape[0]
+    q = np.zeros((n, 0)) if basis is None else np.asarray(basis, dtype=float)
+    if q.ndim != 2 or q.shape[0] != n:
         raise ValueError(
-            f"expected 2-D arrays with equal row counts, got {q.shape}, {new.shape}")
-    n, k = q.shape
+            f"expected 2-D arrays with equal row counts, got {q.shape}, {m.shape}")
+    k = q.shape[1]
     if n < 1:
         raise ValueError("row dimension must be >= 1")
-    j = new.shape[1]
+    j = m.shape[1]
     if j == 0:
         return np.zeros((n, 0))
-    max_col = max(np.max(np.sqrt(np.einsum("ij,ij->j", new, new))),
+    max_col = max(np.max(np.sqrt(np.einsum("ij,ij->j", m, m))),
                   1.0 if k else 0.0)
     with np.errstate(invalid="ignore", over="ignore"):
-        c, rem, rs = cgs2(q, new, out)
-    # a non-finite new shows up in max_col, a non-finite q in c
+        c, rem, rs = cgs2(q, m, out)
+    # a non-finite m shows up in max_col, a non-finite q in c
     if not (np.isfinite(max_col) and np.all(np.isfinite(c))
             and np.all(np.isfinite(rs))):
         raise ValueError("input contains non-finite entries")

@@ -128,7 +128,7 @@ class TestAlrsLyap:
         assert tibt.gramian_rel_error(gram.P, res.factor.reconstruct()) <= 1e-5
 
     @pytest.mark.xfail(
-        reason="extend_orthonormal floors its drop threshold at an absolute "
+        reason="orthonormalize floors its drop threshold at an absolute "
                "ORTH_DROP_RTOL, so a small B's later directions are all "
                "dropped and the run stops early flagged converged (ROADMAP "
                "item 1: the drop-rule floor)",

@@ -91,9 +91,6 @@ def test_traced_drivers_record_the_lyapunov_residual(tracing):
     assert traced_drivers(tracing)["alrs.residual_s"] > 0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the tracer wraps orthonormalize, but both drivers "
-                          "grow their bases with extend_orthonormal")
 def test_traced_drivers_record_basis_orthonormalization(tracing):
     metrics = traced_drivers(tracing)
     for key in ("calls", "s", "cols_in", "cols_kept", "mb_in"):

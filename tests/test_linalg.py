@@ -23,7 +23,6 @@ from tibt.linalg import (
     LinearOperator,
     TridiagonalOperator,
     cgs2,
-    extend_orthonormal,
     flushes_subnormals,
     ordered_svd,
     orthonormalize,
@@ -656,6 +655,14 @@ class TestOrthonormalize:
         q = orthonormalize(np.zeros((4, 0)))
         assert q.shape == (4, 0)
 
+    def test_no_basis_is_the_empty_basis(self):
+        # two row panels and one dependent column, which both calls drop
+        m = np.random.default_rng(52).standard_normal((PANEL_ROWS + 9, 6))
+        m[:, 5] = m[:, :2] @ [1.0, -2.0]
+        q = orthonormalize(m)
+        assert q.shape == (PANEL_ROWS + 9, 5)
+        assert np.array_equal(q, orthonormalize(m, np.zeros((PANEL_ROWS + 9, 0))))
+
 
 def orthonormal_columns(n, k, seed):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, k)))
@@ -672,7 +679,7 @@ class TestExtendOrthonormal:
         inside = q @ rng.standard_normal((20, 4))
         new = scale * (inside + 1e-11 * np.linalg.norm(inside, axis=0)
                        * rng.standard_normal((500, 4)) / np.sqrt(500))
-        ext = extend_orthonormal(q, new)
+        ext = orthonormalize(new, q)
         assert ext.shape == (500, 4)
         full = np.hstack([q, ext])
         assert np.linalg.norm(full.T @ full - np.eye(24), 2) <= 1e-12
@@ -687,7 +694,7 @@ class TestExtendOrthonormal:
         x = q @ rng.standard_normal((10, 1)) + rng.standard_normal((400, 1))
         z = rng.standard_normal((400, 1))
         new = np.hstack([x, x + gap * np.linalg.norm(x) * z / np.linalg.norm(z)])
-        ext = extend_orthonormal(q, new)
+        ext = orthonormalize(new, q)
         assert ext.shape == (400, 2)
         full = np.hstack([q, ext])
         assert np.linalg.norm(full.T @ full - np.eye(12), 2) <= 1e-12
@@ -699,7 +706,7 @@ class TestExtendOrthonormal:
         new = np.hstack([q @ rng.standard_normal((8, 2)), fresh,
                          fresh @ rng.standard_normal((3, 2))
                          + q @ rng.standard_normal((8, 2))])
-        ext = extend_orthonormal(q, new)
+        ext = orthonormalize(new, q)
         expected = orthonormalize(np.hstack([q, new])).shape[1] - q.shape[1]
         assert ext.shape[1] == expected == 3
         full = np.hstack([q, ext])
@@ -709,21 +716,21 @@ class TestExtendOrthonormal:
     def test_empty_q_orthonormalizes_new(self):
         rng = np.random.default_rng(74)
         new = rng.standard_normal((40, 5))
-        ext = extend_orthonormal(np.zeros((40, 0)), new)
+        ext = orthonormalize(new, np.zeros((40, 0)))
         assert ext.shape == (40, 5)
         assert np.allclose(ext.T @ ext, np.eye(5), atol=1e-12)
         assert max_principal_angle(ext, new) <= 1e-10
 
     def test_new_inside_span_adds_nothing(self):
         q = orthonormal_columns(30, 4, 75)
-        ext = extend_orthonormal(q, q @ np.arange(8.0).reshape(4, 2))
+        ext = orthonormalize(q @ np.arange(8.0).reshape(4, 2), q)
         assert ext.shape == (30, 0)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_zero_new_gives_empty_extension(self, k):
         q = orthonormal_columns(10, k, 76) if k else np.zeros((10, 0))
-        assert extend_orthonormal(q, np.zeros((10, 2))).shape == (10, 0)
-        assert extend_orthonormal(q, np.zeros((10, 0))).shape == (10, 0)
+        assert orthonormalize(np.zeros((10, 2)), q).shape == (10, 0)
+        assert orthonormalize(np.zeros((10, 0)), q).shape == (10, 0)
 
     def test_non_finite_input_rejected(self):
         q = orthonormal_columns(10, 3, 77)
@@ -731,19 +738,19 @@ class TestExtendOrthonormal:
         bad_new = new.copy()
         bad_new[4, 1] = np.nan
         with pytest.raises(ValueError):
-            extend_orthonormal(q, bad_new)
+            orthonormalize(bad_new, q)
         bad_q = q.copy()
         bad_q[2, 0] = np.inf
         with pytest.raises(ValueError):
-            extend_orthonormal(bad_q, new)
+            orthonormalize(new, bad_q)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            extend_orthonormal(np.zeros((5, 1)), np.ones((4, 1)))
+            orthonormalize(np.ones((4, 1)), np.zeros((5, 1)))
 
     def test_zero_rows_rejected(self):
         with pytest.raises(ValueError, match="^row dimension must be >= 1$"):
-            extend_orthonormal(np.zeros((0, 0)), np.zeros((0, 1)))
+            orthonormalize(np.zeros((0, 1)), np.zeros((0, 0)))
 
     # below one panel, exactly one, one row past (a last panel with fewer
     # rows than columns), and several panels with a short last one
@@ -756,7 +763,7 @@ class TestExtendOrthonormal:
         fresh = rng.standard_normal((n, 3))
         new = np.hstack([fresh, q @ rng.standard_normal((6, 2)),
                          fresh @ rng.standard_normal((3, 1))])
-        ext = extend_orthonormal(q, new)
+        ext = orthonormalize(new, q)
         assert ext.shape == (n, 3)
         assert ext.flags.f_contiguous
         full = np.hstack([q, ext])
@@ -785,7 +792,7 @@ class TestExtendOrthonormal:
         _, rem, _ = cgs2(q, new)
         _, r, _ = sla.qr(rem, mode="economic", pivoting=True)
         expected = int(np.sum(np.abs(np.diag(r)) > ORTH_DROP_RTOL * max_col))
-        ext = extend_orthonormal(q, new)
+        ext = orthonormalize(new, q)
         assert ext.shape[1] == expected == 3
         full = np.hstack([q, ext])
         assert np.linalg.norm(full.T @ full - np.eye(11), 2) <= 1e-12
@@ -797,10 +804,10 @@ class TestExtendOrthonormal:
         buf = np.empty((PANEL_ROWS + 9, 10), order="F")
         buf[:, :3] = orthonormal_columns(PANEL_ROWS + 9, 3, 87)
         new = rng.standard_normal((PANEL_ROWS + 9, 4))
-        ext = extend_orthonormal(buf[:, :3], new, out=buf[:, 3:7])
+        ext = orthonormalize(new, buf[:, :3], out=buf[:, 3:7])
         assert ext.shape == (PANEL_ROWS + 9, 4)
         assert np.shares_memory(ext, buf[:, 3:7])
-        assert np.allclose(ext, extend_orthonormal(buf[:, :3], new), rtol=0, atol=1e-13)
+        assert np.allclose(ext, orthonormalize(new, buf[:, :3]), rtol=0, atol=1e-13)
         full = buf[:, :7]
         assert np.linalg.norm(full.T @ full - np.eye(7), 2) <= 1e-12
 

@@ -19,7 +19,8 @@ The phases are the calls the drivers spend their n-row memory in:
   orthonormalization of the new directions and the bordering products;
 - ``apply``: the operator product ``apply``/``apply_transpose``;
 - ``gramian``: the projected Lyapunov factor, ``_Basis.gramian_factor``;
-- ``residual``: ``_factored_residual``, at the end of ``alrs_lyap``;
+- ``residual``: ``lowrank_lyapunov_residual``, at the end of ``alrs_lyap``,
+  outside its operator product;
 - ``driver``: the rest of the driver (truncation, the ROM, the result).
 
 A thread reads the resident set from ``/proc/self/statm`` every
@@ -141,7 +142,7 @@ def install(sampler):
         (tibt.alrs, "solve_sylvester_skinny", "sylvester"),
         (tibt.alrs._Basis, "extend", "extend"),
         (tibt.alrs._Basis, "gramian_factor", "gramian"),
-        (tibt.alrs, "_factored_residual", "residual"),
+        (tibt.alrs, "lowrank_lyapunov_residual", "residual"),
     ]
     for cls in (tibt.linalg.TridiagonalOperator, tibt.linalg.DenseOperator):
         targets += [(cls, "apply", "apply"), (cls, "apply_transpose", "apply")]
